@@ -13,7 +13,6 @@ use criterion::{criterion_group, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
-use uqsj::ged::bounds::all_bounds;
 use uqsj::ged::reference::ged_bounded_reference;
 use uqsj::ged::upper::ged_upper_bipartite;
 use uqsj::ged::GedEngine;
@@ -67,25 +66,6 @@ fn bench_join(c: &mut Criterion) {
         b.iter(|| sim_join(&table, &dd, &du, JoinParams::simj(3, 0.5)))
     });
     group.finish();
-
-    // Skewed regime: the deep pairs drowned in distractors the first two
-    // fixed stages cannot prune. The adaptive planner re-learns the
-    // cascade order per iteration (a fresh runtime each call, as any
-    // cold-started join would).
-    let (sd, su, stau) = skewed_workload(&mut table);
-    let mut group = c.benchmark_group("cascade_skewed");
-    group.sample_size(10);
-    group.bench_function("fixed", |b| {
-        b.iter(|| sim_join(&table, &sd, &su, JoinParams::simj(stau, 0.5)))
-    });
-    group.bench_function("adaptive", |b| {
-        b.iter(|| {
-            let params = JoinParams::simj(stau, 0.5)
-                .with_cascade(CascadePolicy::adaptive().with_probe_interval(1024));
-            sim_join(&table, &sd, &su, params)
-        })
-    });
-    group.finish();
 }
 
 fn deep_workload(table: &mut SymbolTable) -> (Vec<Graph>, Vec<UncertainGraph>) {
@@ -101,66 +81,6 @@ fn deep_workload(table: &mut SymbolTable) -> (Vec<Graph>, Vec<UncertainGraph>) {
         ..Default::default()
     };
     erdos_renyi(table, &cfg, &mut rng)
-}
-
-/// The deep pairs plus a flood of distractor queries screened so that
-/// (a) every flood pair is pruned by a cheap bound — no distractor ever
-/// reaches verification — and (b) for at least half the uncertain graphs
-/// the pair is *lm-blind*: the label-multiset bound passes (≤ τ) and
-/// only CSS prunes it (> τ). A fixed cascade pays size + lm before CSS
-/// can fire on every blind pair; an adaptive planner learns CSS has the
-/// highest selectivity-per-cost and runs it first. Returns `(d, u, tau)`
-/// with `d = 10 deep queries + the flood`.
-fn skewed_workload(table: &mut SymbolTable) -> (Vec<Graph>, Vec<UncertainGraph>, u32) {
-    let tau = 3u32;
-    let (mut d, u) = deep_workload(table);
-    let deep_d = d.len();
-    let bounds = all_bounds();
-    let by =
-        |label: &str| bounds.iter().find(|b| b.stage_label() == label).expect("registry bound");
-    let (lm, css) = (by("label_multiset"), by("css"));
-    // Same shape and label pool as the deep pairs, so the size bound
-    // stays blind; the screen below selects for label-compatible but
-    // structurally divergent graphs (~3% of random candidates qualify,
-    // hence the large candidate pool).
-    let mut rng = SmallRng::seed_from_u64(77);
-    let cfg = RandomGraphConfig {
-        count: 60_000,
-        vertices: 8,
-        edges: 12,
-        label_pool: 6,
-        avg_labels: 2.0,
-        ..Default::default()
-    };
-    let (cands, _) = erdos_renyi(table, &cfg, &mut rng);
-    let target = deep_d + 1500;
-    for q in cands {
-        if d.len() >= target {
-            break;
-        }
-        let mut cheaply_pruned = true;
-        let mut blind = 0usize;
-        for g in &u {
-            let lm_passes = lm.uncertain(table, &q, g) <= tau;
-            let css_fires = css.uncertain(table, &q, g) > tau;
-            if lm_passes && !css_fires {
-                cheaply_pruned = false; // would reach verification
-                break;
-            }
-            if lm_passes && css_fires {
-                blind += 1;
-            }
-        }
-        if cheaply_pruned && blind * 2 >= u.len() {
-            d.push(q);
-        }
-    }
-    assert!(
-        d.len() - deep_d >= 500,
-        "skewed workload too thin: only {} qualifying distractors",
-        d.len() - deep_d
-    );
-    (d, u, tau)
 }
 
 /// The pre-engine verification path: materialize each possible world as a
@@ -265,75 +185,6 @@ fn sample_crossover_json() -> String {
         ));
     }
     format!("[\n    {}\n  ]", rows.join(",\n    "))
-}
-
-/// Fixed vs adaptive cascade on the skewed workload: alternate the two
-/// modes, keep each one's best wall time (min-of-4 absorbs scheduler
-/// noise), prove the match sets identical pair-for-pair, and require the
-/// adaptive planner to be no slower than the fixed order it replaces.
-/// Returns the `cascade` JSON object embedded in `BENCH_join.json`,
-/// carrying both plans and the per-stage selectivity/cost table.
-fn cascade_showdown_json() -> String {
-    let mut table = SymbolTable::new();
-    let (d, u, tau) = skewed_workload(&mut table);
-    let alpha = 0.5f64;
-    let fixed_params = JoinParams::simj(tau, alpha);
-    // A sparser probe cadence than the default: the flood is huge and
-    // stationary, so spending a full-evaluation pair every 64 would buy
-    // freshness this workload never needs.
-    let adaptive_params =
-        fixed_params.with_cascade(CascadePolicy::adaptive().with_probe_interval(1024));
-
-    let key = |m: &JoinMatch| (m.g_index, m.q_index);
-    let mut best: [Option<(Duration, JoinStats)>; 2] = [None, None];
-    let mut match_sets: [Option<Vec<(usize, usize)>>; 2] = [None, None];
-    for round in 0..8 {
-        let mode = round % 2; // 0 = fixed, 1 = adaptive, interleaved
-        let params = if mode == 0 { fixed_params } else { adaptive_params };
-        let s = Instant::now();
-        let (matches, stats) = sim_join(&table, &d, &u, params);
-        let elapsed = s.elapsed();
-        let mut set: Vec<_> = matches.iter().map(key).collect();
-        set.sort_unstable();
-        if let Some(prev) = &match_sets[mode] {
-            assert_eq!(prev, &set, "cascade mode {mode} is not deterministic");
-        } else {
-            match_sets[mode] = Some(set);
-        }
-        if best[mode].as_ref().map_or(true, |(t, _)| elapsed < *t) {
-            best[mode] = Some((elapsed, stats));
-        }
-    }
-    assert_eq!(match_sets[0], match_sets[1], "adaptive cascade changed the join result set");
-    let (fixed_time, fixed_stats) = best[0].take().expect("fixed runs");
-    let (adaptive_time, adaptive_stats) = best[1].take().expect("adaptive runs");
-    // The smoke bar CI relies on: adaptation must pay for itself. 10%
-    // headroom tolerates scheduler noise on loaded runners.
-    assert!(
-        adaptive_time.as_secs_f64() <= fixed_time.as_secs_f64() * 1.10,
-        "adaptive cascade slower than fixed on the skewed workload: {:?} vs {:?}",
-        adaptive_time,
-        fixed_time
-    );
-    let fixed_report = fixed_stats.cascade.as_ref().expect("fixed cascade report");
-    let adaptive_report = adaptive_stats.cascade.as_ref().expect("adaptive cascade report");
-    eprintln!("cascade showdown: fixed {fixed_time:?}, adaptive {adaptive_time:?}");
-    eprintln!("{adaptive_report}");
-    format!(
-        "{{\n    \"bench\": \"deep_verify_skewed\",\n    \"tau\": {tau},\n    \
-         \"alpha\": {alpha},\n    \"d_size\": {dn},\n    \"u_size\": {un},\n    \
-         \"results\": {results},\n    \"fixed_ms\": {ft:.2},\n    \"adaptive_ms\": {at:.2},\n    \
-         \"speedup_adaptive_vs_fixed\": {speedup:.2},\n    \"fixed\": {fr},\n    \
-         \"adaptive\": {ar}\n  }}",
-        dn = d.len(),
-        un = u.len(),
-        results = match_sets[0].as_ref().map_or(0, |s| s.len()),
-        ft = fixed_time.as_secs_f64() * 1e3,
-        at = adaptive_time.as_secs_f64() * 1e3,
-        speedup = fixed_time.as_secs_f64() / adaptive_time.as_secs_f64().max(1e-9),
-        fr = fixed_report.to_json("    ").trim_start(),
-        ar = adaptive_report.to_json("    ").trim_start(),
-    )
 }
 
 /// Reference-vs-lftj showdown on the cyclic/star/path families over one
@@ -505,7 +356,6 @@ fn emit_join_json() {
     // counters accumulated by the run above) so a bench artifact carries
     // the same observability snapshot an operator would scrape.
     let crossover = sample_crossover_json();
-    let cascade = cascade_showdown_json();
     let bgp = bgp_showdown_json();
     let registry = uqsj::obs::global().snapshot_json();
     let json = format!(
@@ -514,7 +364,7 @@ fn emit_join_json() {
          \"worlds_verified\": {worlds},\n  \"worlds_verified_per_sec\": {wps:.1},\n  \
          \"p50_pair_verify_us\": {p50:.1},\n  \"p99_pair_verify_us\": {p99:.1},\n  \
          \"engine_total_ms\": {et:.2},\n  \"naive_reference_total_ms\": {nt:.2},\n  \
-         \"speedup_vs_reference\": {speedup:.2},\n  \"cascade\": {cascade},\n  \
+         \"speedup_vs_reference\": {speedup:.2},\n  \
          \"bgp\": {bgp},\n  \
          \"sample_crossover\": {crossover},\n  \"registry\": {reg}\n}}\n",
         reg = registry.trim_end(),

@@ -16,8 +16,8 @@
 //! server. Both p99s land in the JSON and the run fails if tracing moved
 //! p99 by more than `--overhead-tolerance` (default 0.05 — the <5%
 //! observability budget) beyond a small absolute jitter floor. The
-//! traced phase also smokes the `/debug/slow` and `/debug/cascade`
-//! endpoints and fails on malformed JSON.
+//! traced phase also smokes the `/debug/slow` endpoint and fails on
+//! malformed JSON.
 //!
 //! Emits `BENCH_serve.json` at the repo root — p50/p99 latency, QPS,
 //! shed rate, status-class counts, plus the server's metric registries —
@@ -197,15 +197,6 @@ fn smoke_debug_endpoints(addr: SocketAddr) -> Result<(), String> {
     if reports.is_empty() {
         return Err("slow log empty after a full load phase".to_owned());
     }
-    let cascade = client.get("/debug/cascade").map_err(|e| format!("/debug/cascade: {e}"))?;
-    if cascade.status != 200 {
-        return Err(format!("/debug/cascade returned {}", cascade.status));
-    }
-    let doc = uqsj::net::json::parse(&cascade.body)
-        .map_err(|e| format!("/debug/cascade body is not JSON: {e}"))?;
-    doc.get("sources")
-        .and_then(uqsj::net::Value::as_array)
-        .ok_or("/debug/cascade lacks sources[]")?;
     Ok(())
 }
 

@@ -15,27 +15,14 @@
 //!               [--trace-out FILE] [--explain N]
 //!               [--simp-mode exact|sample|auto]
 //!               [--epsilon E] [--delta D] [--sample-seed S]
-//!               [--cascade fixed|adaptive|shuffled]
-//!               [--calibration-pairs K] [--epoch-pairs E]
-//!               [--probe-interval P] [--hysteresis H] [--shuffle-seed S]
-//!     Run the join only and print per-stage statistics plus the cascade
-//!     plan and per-bound selectivity/cost table. --explain N re-joins
-//!     the first N questions one at a time against the same (calibrated)
-//!     cascade runtime and prints a per-question EXPLAIN report — the
-//!     filter funnel, verification tiers, stopping reasons, and GED
-//!     effort for that question alone. --metrics-out
+//!     Run the join only and print per-stage statistics and the cascade
+//!     plan. --explain N re-joins the first N questions one at a time
+//!     and prints a per-question EXPLAIN report — the filter funnel,
+//!     verification tiers, stopping reasons, and GED effort for that
+//!     question alone. --metrics-out
 //!     writes the process metric registry as Prometheus text to FILE and
 //!     as JSON to FILE.json; --trace-out dumps the span flight recorder
 //!     as a Chrome trace.
-//!
-//!     Cascade flags (join and generate): --cascade picks the filter-stage
-//!     plan — the paper's fixed order (default), the adaptive
-//!     selectivity/cost planner over the full bound registry, or a
-//!     seed-derived shuffled plan (conformance aid). Every choice returns
-//!     identical results; only cost changes. --calibration-pairs (64) sets
-//!     the warm-start sample, --epoch-pairs (512) the re-plan period,
-//!     --probe-interval (64) the dropped-stage refresh cadence, and
-//!     --hysteresis (0.1) the adoption threshold.
 //!
 //!     Sampling flags (join and generate): --simp-mode picks the SimP
 //!     verification tier — exact enumeration (default), Monte-Carlo
@@ -89,8 +76,8 @@
 //! uqsj-cli conformance [--seed S] [--pairs N] [--profile quick|deep]
 //!     Run the differential conformance suite: seeded boundary-biased
 //!     pairs, every lower bound vs. the exact reference GED per possible
-//!     world, both SimP evaluators, all six join drivers (including the
-//!     forced sampling tier), the Monte-Carlo sampler vs. exact
+//!     world, both SimP evaluators, all six join configurations
+//!     (including the forced sampling tier), the Monte-Carlo sampler vs. exact
 //!     enumeration under its δ budget, and the metamorphic relations.
 //!     Prints the coverage report; any violation prints the sub-seed
 //!     that replays it (re-run with --seed <sub-seed> --pairs 1) and
@@ -229,25 +216,6 @@ fn simp_policy(opts: &Options) -> SimpPolicy {
     policy.with_threshold(opts.num("sample-threshold", SimpPolicy::DEFAULT_AUTO_THRESHOLD))
 }
 
-fn cascade_policy(opts: &Options) -> CascadePolicy {
-    let base = match opts.get("cascade").unwrap_or("fixed") {
-        "adaptive" => CascadePolicy::adaptive(),
-        "shuffled" => CascadePolicy::shuffled(opts.num("shuffle-seed", 42u64)),
-        other => {
-            if other != "fixed" {
-                eprintln!(
-                    "unknown --cascade {other:?}; expected fixed|adaptive|shuffled, using fixed"
-                );
-            }
-            CascadePolicy::fixed()
-        }
-    };
-    base.with_calibration_pairs(opts.num("calibration-pairs", base.calibration_pairs))
-        .with_epoch_pairs(opts.num("epoch-pairs", base.epoch_pairs))
-        .with_probe_interval(opts.num("probe-interval", base.probe_interval))
-        .with_hysteresis(opts.num("hysteresis", base.hysteresis))
-}
-
 fn join_params(opts: &Options) -> JoinParams {
     let strategy = match opts.get("strategy").unwrap_or("simj") {
         "css" => JoinStrategy::CssOnly,
@@ -259,7 +227,6 @@ fn join_params(opts: &Options) -> JoinParams {
         alpha: opts.num("alpha", 0.7),
         strategy,
         simp: simp_policy(opts),
-        cascade: cascade_policy(opts),
     }
 }
 
@@ -711,14 +678,7 @@ fn join(opts: &Options) -> ExitCode {
     bgp_eval(opts);
     let dataset = uqsj::workload::qald_like(&dataset_config(opts));
     let params = join_params(opts);
-    let cascade = uqsj::simjoin::CascadeRuntime::new(params.cascade, params.strategy);
-    let (matches, stats) = uqsj::simjoin::sim_join_in(
-        &cascade,
-        &dataset.table,
-        &dataset.d_graphs,
-        &dataset.u_graphs,
-        params,
-    );
+    let (matches, stats) = sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
     let (correct, precision) = join_quality(&dataset, &matches);
     println!(
         "pairs {} | pruned: size {} lm {} css {} markov {} grouped {} | candidates {} ({:.2}%)",
@@ -747,12 +707,10 @@ fn join(opts: &Options) -> ExitCode {
         stats.worlds_sampled,
         params.simp.seed
     );
-    if let Some(report) = &stats.cascade {
-        print!("{report}");
-    }
+    println!("cascade plan: {}", uqsj::simjoin::cascade::plan(params.strategy).join(" -> "));
     let explain: usize = opts.num("explain", 0);
     if explain > 0 {
-        explain_questions(&dataset, &cascade, params, explain);
+        explain_questions(&dataset, params, explain);
     }
     if let Some(path) = opts.get("metrics-out") {
         if let Err(e) = write_metrics(uqsj::obs::global(), path) {
@@ -772,16 +730,10 @@ fn join(opts: &Options) -> ExitCode {
 }
 
 /// `join --explain N`: re-join each of the first `N` questions alone
-/// against the full SPARQL workload, on the already-calibrated cascade
-/// runtime, and print one EXPLAIN report per question — that question's
-/// own filter funnel, verification tiers, stopping reasons, and GED
-/// effort, stamped with a fresh trace id.
-fn explain_questions(
-    dataset: &uqsj::workload::Dataset,
-    cascade: &uqsj::simjoin::CascadeRuntime,
-    params: JoinParams,
-    n: usize,
-) {
+/// against the full SPARQL workload and print one EXPLAIN report per
+/// question — that question's own filter funnel, verification tiers,
+/// stopping reasons, and GED effort, stamped with a fresh trace id.
+fn explain_questions(dataset: &uqsj::workload::Dataset, params: JoinParams, n: usize) {
     use uqsj::serve::{JoinReport, QueryReport};
 
     let count = n.min(dataset.u_graphs.len());
@@ -792,13 +744,12 @@ fn explain_questions(
         let _ctx = uqsj::obs::ctx::install(ctx);
         let started = std::time::Instant::now();
         let one = &dataset.u_graphs[i..=i];
-        let (_, q_stats) =
-            uqsj::simjoin::sim_join_in(cascade, &dataset.table, &dataset.d_graphs, one, params);
+        let (_, q_stats) = sim_join(&dataset.table, &dataset.d_graphs, one, params);
         let report = QueryReport {
             trace_id,
             question: dataset.pairs[i].question.clone(),
             total_us: started.elapsed().as_micros() as u64,
-            join: Some(JoinReport::from_stats(&q_stats)),
+            join: Some(JoinReport::from_stats(&q_stats, params.strategy)),
             ..Default::default()
         };
         print!("{}", report.render_text());

@@ -25,8 +25,7 @@ use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 
 /// A uniform interface over all lower bounds, used by the
 /// filter-comparison experiment (Fig. 15), the ablation benches, and the
-/// adaptive join cascade (which treats [`all_bounds`] as its stage
-/// registry).
+/// join cascade (which runs the size, label-multiset and CSS bounds).
 pub trait LowerBound {
     /// Short name for reporting ("CSS", "Path", ...).
     fn name(&self) -> &'static str;
@@ -54,10 +53,8 @@ pub trait LowerBound {
 /// Every filtering lower bound at its default configuration, in cheap-to-
 /// expensive order: size, label-multiset, CSS, c-star, path n-grams,
 /// partition, SEGOS cascade. This is the canonical list the filter
-/// comparison (Fig. 15), the conformance oracles, and the adaptive join
-/// cascade iterate — adding a bound here automatically enrolls it in all
-/// three. `Send + Sync` because the cascade planner shares the registry
-/// across join workers.
+/// comparison (Fig. 15) and the conformance oracles iterate — adding a
+/// bound here automatically enrolls it in both.
 pub fn all_bounds() -> Vec<Box<dyn LowerBound + Send + Sync>> {
     vec![
         Box::new(size::SizeBound),

@@ -9,7 +9,6 @@
 //! | `/readyz`          | GET    | — (readiness: 503 once draining)           |
 //! | `/debug/slow`      | GET    | — (worst-N query reports, slowest first)   |
 //! | `/debug/trace`     | GET    | — (`?id=<16-hex>`: that request's spans)   |
-//! | `/debug/cascade`   | GET    | — (attached cascade planners' live plans)  |
 //! | `/debug/cache`     | GET    | — (answer-cache occupancy and generation)  |
 
 use crate::http::{Request, Response};
@@ -77,10 +76,6 @@ pub fn dispatch(
             metrics.debug_requests.inc();
             debug_trace(request)
         }
-        ("GET", "/debug/cascade") => {
-            metrics.debug_requests.inc();
-            debug_cascade(qa)
-        }
         ("GET", "/debug/cache") => {
             metrics.debug_requests.inc();
             let (entries, capacity, generation) = qa.cache_debug();
@@ -94,7 +89,7 @@ pub fn dispatch(
         (
             _,
             "/healthz" | "/readyz" | "/metrics" | "/v1/answer" | "/v1/templates" | "/debug/slow"
-            | "/debug/trace" | "/debug/cascade" | "/debug/cache",
+            | "/debug/trace" | "/debug/cache",
         ) => Response::error(405, "method not allowed"),
         _ => Response::error(404, "no such route"),
     }
@@ -121,24 +116,6 @@ fn debug_trace(request: &Request) -> Response {
             ",\"start_us\":{},\"dur_us\":{},\"tid\":{},\"depth\":{}}}",
             e.start_us, e.dur_us, e.tid, e.depth
         ));
-    }
-    body.push_str("]}");
-    Response::json(200, body)
-}
-
-/// `GET /debug/cascade`: live plan + estimate snapshots of every cascade
-/// planner attached to the serving core.
-fn debug_cascade(qa: &ShardedQaServer) -> Response {
-    let mut body = String::from("{\"sources\":[");
-    for (i, (label, report)) in qa.cascade_reports().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str("{\"name\":");
-        uqsj_obs::push_json_string(&mut body, label);
-        body.push_str(",\"cascade\":");
-        body.push_str(report.to_json("").trim());
-        body.push('}');
     }
     body.push_str("]}");
     Response::json(200, body)

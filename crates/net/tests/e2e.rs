@@ -323,13 +323,6 @@ fn debug_endpoints_serve_well_formed_json() {
     assert!(doc.get("entries").and_then(json::Value::as_usize).is_some_and(|n| n >= 1));
     assert_eq!(doc.get("capacity").and_then(json::Value::as_usize), Some(64));
 
-    // No cascade attached to this serving core: an empty source list,
-    // still well-formed.
-    let cascade = client.get("/debug/cascade").expect("cascade");
-    assert_eq!(cascade.status, 200);
-    let doc = json::parse(&cascade.body).expect("cascade json");
-    assert_eq!(doc.get("sources").and_then(json::Value::as_array).map(<[_]>::len), Some(0));
-
     // Trace endpoint input validation.
     assert_eq!(client.get("/debug/trace").expect("400").status, 400);
     assert_eq!(client.get("/debug/trace?id=zzz").expect("400").status, 400);

@@ -9,9 +9,7 @@
 use uqsj_graph::{Graph, SymbolTable};
 use uqsj_nlp::semantic::AnalysisError;
 use uqsj_nlp::{analyze_question, Lexicon};
-use uqsj_simjoin::{
-    CascadeCursor, CascadeRuntime, GedEngine, JoinIndex, JoinMatch, JoinParams, JoinStats,
-};
+use uqsj_simjoin::{GedEngine, JoinIndex, JoinMatch, JoinParams, JoinStats};
 use uqsj_sparql::{SparqlQuery, Term};
 use uqsj_template::{generate_template, Template, TemplateSource};
 use uqsj_workload::Dataset;
@@ -66,13 +64,6 @@ pub struct Ingestor {
     next_g_index: usize,
     /// GED search workspace reused across every ingested question.
     engine: GedEngine,
-    /// Cascade planner shared across every ingested question, so under an
-    /// adaptive policy the selectivity/cost estimates learned on earlier
-    /// arrivals keep steering the filter order for later ones instead of
-    /// restarting cold per question. Shared (`Arc`) so a serving front
-    /// end can expose the live plan through `/debug/cascade`.
-    cascade: std::sync::Arc<CascadeRuntime>,
-    cursor: CascadeCursor,
 }
 
 impl Ingestor {
@@ -101,30 +92,12 @@ impl Ingestor {
     ) -> Self {
         assert_eq!(d_graphs.len(), d_queries.len());
         assert_eq!(d_graphs.len(), d_terms.len());
-        let cascade = std::sync::Arc::new(CascadeRuntime::new(params.cascade, params.strategy));
-        Self {
-            table,
-            d_graphs,
-            d_queries,
-            d_terms,
-            params,
-            next_g_index,
-            engine: GedEngine::new(),
-            cascade,
-            cursor: CascadeCursor::new(),
-        }
+        Self { table, d_graphs, d_queries, d_terms, params, next_g_index, engine: GedEngine::new() }
     }
 
     /// Size of the SPARQL workload joined against.
     pub fn d_len(&self) -> usize {
         self.d_graphs.len()
-    }
-
-    /// The shared cascade planner — attach it to a
-    /// [`crate::ShardedQaServer`] so `/debug/cascade` reports this
-    /// ingestor's live plan and estimates.
-    pub fn cascade(&self) -> std::sync::Arc<CascadeRuntime> {
-        std::sync::Arc::clone(&self.cascade)
     }
 
     /// Analyze one new question, join its uncertain graph against `D`
@@ -141,15 +114,8 @@ impl Ingestor {
         self.next_g_index += 1;
 
         let index = JoinIndex::build(&self.d_graphs);
-        let (matches, stats) = index.join_one_in(
-            &mut self.engine,
-            &self.cascade,
-            &mut self.cursor,
-            &self.table,
-            g_index,
-            &g,
-            self.params,
-        );
+        let (matches, stats) =
+            index.join_one_with(&mut self.engine, &self.table, g_index, &g, self.params);
 
         let templates: Vec<Template> = matches
             .iter()

@@ -4,13 +4,13 @@
 //! plus the [`SlowLog`] worst-N ring behind `GET /debug/slow`.
 //!
 //! The report is assembled from counters the pipeline already keeps
-//! ([`uqsj_template::AnswerStats`], `uqsj_simjoin::JoinStats`,
-//! `CascadeReport`), so EXPLAIN never changes what work runs — it only
-//! snapshots the numbers the metrics layer would aggregate anyway.
+//! ([`uqsj_template::AnswerStats`], `uqsj_simjoin::JoinStats`), so
+//! EXPLAIN never changes what work runs — it only snapshots the numbers
+//! the metrics layer would aggregate anyway.
 
 use parking_lot::Mutex;
 use uqsj_obs::push_json_string;
-use uqsj_simjoin::JoinStats;
+use uqsj_simjoin::{JoinStats, JoinStrategy};
 
 /// One row of a report's stage funnel: `input` items entered the stage,
 /// `pruned` of them were discarded, and the stage spent `us`
@@ -40,14 +40,11 @@ pub struct JoinReport {
     pub candidates: u64,
     /// Pairs verified with `SimP >= alpha`.
     pub results: u64,
-    /// Per-stage pruned counts, in the order the stages first fired —
-    /// sums to `pairs - candidates`.
+    /// Per-stage pruned counts, in cascade order — sums to
+    /// `pairs - candidates`.
     pub stages: Vec<StageReport>,
-    /// Cascade plan in execution order (empty when no cascade report was
-    /// stamped).
+    /// The strategy's cascade plan, in execution order.
     pub plan: Vec<&'static str>,
-    /// Adopted plan changes over the cascade's lifetime.
-    pub plan_epochs: u64,
     /// Candidates decided by exact enumeration.
     pub verified_exact: u64,
     /// Candidates decided by the sampling tier.
@@ -67,11 +64,11 @@ pub struct JoinReport {
 }
 
 impl JoinReport {
-    /// Reshape one run's `JoinStats` into the report funnel. Stage rows
-    /// carry the stats' name-keyed pruned counters verbatim, so the
-    /// report's per-stage sum always reconciles with
-    /// [`JoinStats::pruned_total`].
-    pub fn from_stats(stats: &JoinStats) -> Self {
+    /// Reshape one run's `JoinStats` into the report funnel, under the
+    /// plan of the `strategy` the run used. Stage rows carry the stats'
+    /// name-keyed pruned counters verbatim, so the report's per-stage sum
+    /// always reconciles with [`JoinStats::pruned_total`].
+    pub fn from_stats(stats: &JoinStats, strategy: JoinStrategy) -> Self {
         let mut entering = stats.pairs_total;
         let stages = stats
             .pruned_stages()
@@ -82,17 +79,12 @@ impl JoinReport {
                 row
             })
             .collect();
-        let (plan, plan_epochs) = match &stats.cascade {
-            Some(c) => (c.plan.clone(), c.plan_epochs),
-            None => (Vec::new(), 0),
-        };
         Self {
             pairs: stats.pairs_total,
             candidates: stats.candidates,
             results: stats.results,
             stages,
-            plan,
-            plan_epochs,
+            plan: uqsj_simjoin::cascade::plan(strategy),
             verified_exact: stats.verified_exact,
             verified_sampled: stats.verified_sampled,
             worlds_verified: stats.worlds_verified,
@@ -184,7 +176,6 @@ impl QueryReport {
                     push_json_string(&mut s, label);
                 }
                 s.push(']');
-                s.push_str(&format!(",\"plan_epochs\":{}", j.plan_epochs));
                 s.push_str(&format!(",\"verified_exact\":{}", j.verified_exact));
                 s.push_str(&format!(",\"verified_sampled\":{}", j.verified_sampled));
                 s.push_str(&format!(",\"worlds_verified\":{}", j.worlds_verified));
@@ -227,12 +218,11 @@ impl QueryReport {
         }
         if let Some(j) = &self.join {
             out.push_str(&format!(
-                "  join pairs={} candidates={} results={} plan=[{}] epochs={}\n",
+                "  join pairs={} candidates={} results={} plan=[{}]\n",
                 j.pairs,
                 j.candidates,
                 j.results,
                 j.plan.join(","),
-                j.plan_epochs
             ));
             for st in &j.stages {
                 out.push_str(&format!(
@@ -391,7 +381,8 @@ mod tests {
         stats.record_pruned("css", 5);
         stats.record_stop("exact_only");
         stats.ged_expanded = 33;
-        let j = JoinReport::from_stats(&stats);
+        let j = JoinReport::from_stats(&stats, JoinStrategy::SimJ);
+        assert_eq!(j.plan, ["size", "label_multiset", "css", "markov"]);
         assert_eq!(j.stages[0], StageReport { label: "size", input: 20, pruned: 10, us: 0 });
         assert_eq!(j.stages[1], StageReport { label: "css", input: 10, pruned: 5, us: 0 });
         let pruned: u64 = j.stages.iter().map(|s| s.pruned).sum();

@@ -31,13 +31,20 @@
 //! lands on the few shards — usually one — that hold plausible templates;
 //! `uqsj_shard_touched` tracks that number.
 //!
+//! **Bootstrap** writes every replica first and the `SHARDS` topology
+//! file last (atomically: temp file, fsync, rename, directory fsync), so
+//! a crash mid-bootstrap leaves a directory `open` refuses rather than a
+//! valid topology over empty replicas.
+//!
 //! **Recovery** opens every replica of a shard, adopts the replica with
 //! the most templates (a crash can leave late replicas one append
-//! behind), re-initializes any replica that fails to open (bit-flipped
-//! snapshot, lost directory), and compacts all replicas to a fresh
-//! common generation — after which every replica of the shard is
-//! byte-equivalent again. Per shard, the adopted state is always the
-//! replay of one surviving WAL over its snapshot, exactly like the
+//! behind), moves any replica that fails to open (bit-flipped snapshot,
+//! permission error) aside to a `replica-RR.quarantine-N` sibling and
+//! re-initializes it, then compacts all replicas to a fresh common
+//! generation — after which every replica of the shard is
+//! byte-equivalent again. A shard none of whose replicas opens is an
+//! error, never an empty shard. Per shard, the adopted state is always
+//! the replay of one surviving WAL over its snapshot, exactly like the
 //! single-store engine.
 
 use crate::cache::{normalize_question, AnswerCache};
@@ -46,6 +53,8 @@ use crate::report::{QueryReport, SlowLog, StageReport};
 use crate::server::ServeConfig;
 use crate::store::TemplateStore;
 use parking_lot::{Mutex, RwLock};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,7 +63,7 @@ use uqsj_nlp::token::tokenize;
 use uqsj_nlp::Lexicon;
 use uqsj_obs::{span, Gauge, Histogram};
 use uqsj_rdf::TripleStore;
-use uqsj_simjoin::cascade::{CascadeReport, CascadeRuntime};
+use uqsj_storage::snapshot::sync_parent_dir;
 use uqsj_storage::{StorageEngine, StorageError};
 use uqsj_template::{answer_across, CandidateRef, QaOutcome, Template, TemplateLibrary};
 
@@ -123,10 +132,6 @@ pub struct ShardedQaServer {
     shard_templates: Gauge,
     /// Worst-N answer reports, behind `GET /debug/slow`.
     slow_log: SlowLog,
-    /// Labelled cascade planners attached for `/debug/cascade` — the
-    /// serving path itself never joins, but the ingest pipeline feeding
-    /// this server does, and its live plan is operator-relevant.
-    cascades: Mutex<Vec<(String, Arc<CascadeRuntime>)>>,
 }
 
 fn shard_dir(data_dir: &Path, shard: usize) -> PathBuf {
@@ -155,9 +160,45 @@ fn read_topology(data_dir: &Path) -> Result<(usize, usize), StorageError> {
     }
 }
 
+/// Write `SHARDS` atomically: a crash leaves either no file or the whole
+/// topology, never a torn one.
 fn write_topology(data_dir: &Path, shards: usize, replicas: usize) -> Result<(), StorageError> {
-    std::fs::write(data_dir.join(SHARDS_FILE), format!("shards={shards}\nreplicas={replicas}\n"))?;
-    Ok(())
+    let tmp = data_dir.join(format!("{SHARDS_FILE}.tmp"));
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(format!("shards={shards}\nreplicas={replicas}\n").as_bytes())?;
+        f.sync_all()?;
+    }
+    let path = data_dir.join(SHARDS_FILE);
+    std::fs::rename(&tmp, &path)?;
+    sync_parent_dir(&path)
+}
+
+/// Durably remove `SHARDS`, if present, so the directory stops being
+/// openable while its replicas are rewritten.
+fn remove_topology(data_dir: &Path) -> Result<(), StorageError> {
+    let path = data_dir.join(SHARDS_FILE);
+    match std::fs::remove_file(&path) {
+        Ok(()) => sync_parent_dir(&path),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Move an unopenable replica aside to the first free
+/// `replica-RR.quarantine-N` sibling, keeping its bytes for inspection.
+fn quarantine(dir: &Path) -> Result<(), StorageError> {
+    let name = dir.file_name().unwrap_or_default().to_string_lossy().into_owned();
+    let mut n = 0usize;
+    let target = loop {
+        let candidate = dir.with_file_name(format!("{name}.quarantine-{n}"));
+        if !candidate.exists() {
+            break candidate;
+        }
+        n += 1;
+    };
+    std::fs::rename(dir, &target)?;
+    sync_parent_dir(dir)
 }
 
 /// Partition a library into per-shard stores by NL-pattern hash.
@@ -211,7 +252,6 @@ impl ShardedQaServer {
             ingest_fanout,
             shard_templates,
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
-            cascades: Mutex::new(Vec::new()),
         };
         server.shard_templates.set(server.template_count() as i64);
         server
@@ -235,7 +275,9 @@ impl ShardedQaServer {
     /// Bootstrap (or overwrite) a sharded data directory from in-memory
     /// artifacts: the library is partitioned, every shard's state is
     /// written as a fresh snapshot generation in each of its `replicas`
-    /// directories, and the topology is recorded in `SHARDS`.
+    /// directories, and only then is the topology recorded in `SHARDS`.
+    /// Any earlier `SHARDS` is removed first, so a failure part-way
+    /// leaves a directory [`ShardedQaServer::open`] refuses.
     pub fn create(
         data_dir: &Path,
         library: TemplateLibrary,
@@ -248,7 +290,7 @@ impl ShardedQaServer {
         let shards = shards.max(1);
         let replicas = replicas.max(1);
         std::fs::create_dir_all(data_dir)?;
-        write_topology(data_dir, shards, replicas)?;
+        remove_topology(data_dir)?;
         let stores = partition(&library, shards);
         let lexicon = Arc::new(lexicon);
         let triples = Arc::new(triples);
@@ -262,33 +304,49 @@ impl ShardedQaServer {
             }
             engines.push(shard_engines);
         }
+        write_topology(data_dir, shards, replicas)?;
         Ok(Self::build(stores, engines, lexicon, triples, config, replicas))
     }
 
     /// Recover a sharded data directory: per shard, open every replica,
-    /// adopt the most advanced one, re-initialize unreadable replicas,
-    /// and compact all replicas to a common fresh generation. The lexicon
-    /// and RDF store are taken from shard 0 (every replica snapshot
-    /// carries a full copy, so each shard directory is self-contained).
+    /// adopt the most advanced one, quarantine and re-initialize
+    /// unreadable replicas, and compact all replicas to a common fresh
+    /// generation. Fails if every replica of some shard is unreadable.
+    /// The lexicon and RDF store are taken from shard 0 (every replica
+    /// snapshot carries a full copy, so each shard directory is
+    /// self-contained).
     pub fn open(data_dir: &Path, config: ServeConfig) -> Result<Self, StorageError> {
         let (shards, replicas) = read_topology(data_dir)?;
         let mut stores = Vec::with_capacity(shards);
         let mut engines = Vec::with_capacity(shards);
         let mut shared: Option<(Arc<Lexicon>, Arc<TripleStore>)> = None;
         for si in 0..shards {
+            let attempts: Vec<_> = (0..replicas)
+                .map(|ri| StorageEngine::open(&replica_dir(data_dir, si, ri)))
+                .collect();
+            if attempts.iter().all(Result::is_err) {
+                // No replica holds this shard's state: refuse to start
+                // rather than serve it empty, and leave every replica in
+                // place for the operator.
+                let err = attempts.into_iter().find_map(Result::err).expect("replicas >= 1");
+                return Err(err);
+            }
             let mut opened: Vec<(StorageEngine, uqsj_storage::RecoveredState)> =
                 Vec::with_capacity(replicas);
-            for ri in 0..replicas {
-                let dir = replica_dir(data_dir, si, ri);
-                let result = StorageEngine::open(&dir).or_else(|_| {
-                    // A replica that cannot open (corrupt snapshot, torn
-                    // header) is re-initialized empty and caught up by the
-                    // convergence compaction below. At least one replica
-                    // per shard must recover for `?` not to fire here.
-                    std::fs::remove_dir_all(&dir)?;
-                    StorageEngine::open(&dir)
-                })?;
-                opened.push((result.0, result.1));
+            for (ri, attempt) in attempts.into_iter().enumerate() {
+                let replica = match attempt {
+                    Ok(replica) => replica,
+                    Err(_) => {
+                        // A replica that cannot open (corrupt snapshot,
+                        // torn header, permission error) is moved aside
+                        // and re-initialized empty; the convergence
+                        // compaction below catches it up.
+                        let dir = replica_dir(data_dir, si, ri);
+                        quarantine(&dir)?;
+                        StorageEngine::open(&dir)?
+                    }
+                };
+                opened.push(replica);
             }
             // Adopt the replica holding the most templates: a crash
             // between replica appends leaves later replicas at most one
@@ -591,18 +649,6 @@ impl ShardedQaServer {
     /// The worst-N slow-query log behind `GET /debug/slow`.
     pub fn slow_log(&self) -> &SlowLog {
         &self.slow_log
-    }
-
-    /// Attach a labelled cascade planner (typically the ingest
-    /// pipeline's) so [`ShardedQaServer::cascade_reports`] — and thus
-    /// `GET /debug/cascade` — can snapshot its live plan and estimates.
-    pub fn attach_cascade(&self, label: impl Into<String>, cascade: Arc<CascadeRuntime>) {
-        self.cascades.lock().push((label.into(), cascade));
-    }
-
-    /// Live plan + estimate snapshots of every attached cascade planner.
-    pub fn cascade_reports(&self) -> Vec<(String, CascadeReport)> {
-        self.cascades.lock().iter().map(|(label, rt)| (label.clone(), rt.report())).collect()
     }
 
     /// Answer-cache introspection for `GET /debug/cache`:

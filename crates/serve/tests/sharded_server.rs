@@ -1,10 +1,11 @@
-//! Sharded-server conformance (ISSUE 6 tentpole): a `ShardedQaServer`
-//! must answer *exactly* like a single store over the shard libraries
-//! concatenated in shard order, for any shard count; a durable sharded
-//! directory must recover equivalently after a kill, including with a
-//! corrupted replica.
+//! Sharded-server conformance: a `ShardedQaServer` must answer *exactly*
+//! like a single store over the shard libraries concatenated in shard
+//! order, for any shard count; a durable sharded directory must recover
+//! equivalently after a kill, including with a corrupted replica, and
+//! must refuse to open — never serve empty — when bootstrap failed or a
+//! whole shard is unreadable.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use uqsj_serve::{ServeConfig, ShardedQaServer};
 use uqsj_simjoin::{sim_join, JoinParams};
 use uqsj_template::{
@@ -41,6 +42,25 @@ fn batch_library(dataset: &Dataset, n: usize, params: JoinParams) -> TemplateLib
         }
     }
     library
+}
+
+/// Flip 16 bytes in the middle of a replica's snapshot file; returns the
+/// file and its corrupted contents.
+fn corrupt_snapshot(replica: &Path) -> (PathBuf, Vec<u8>) {
+    let snapshot = std::fs::read_dir(replica)
+        .expect("replica dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .find(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("snapshot-")))
+        .expect("snapshot file");
+    let mut bytes = std::fs::read(&snapshot).expect("read snapshot");
+    let mid = bytes.len() / 2;
+    let end = (mid + 16).min(bytes.len());
+    for b in &mut bytes[mid..end] {
+        *b ^= 0xff;
+    }
+    std::fs::write(&snapshot, &bytes).expect("corrupt snapshot");
+    (snapshot, bytes)
 }
 
 fn clone_library(library: &TemplateLibrary) -> TemplateLibrary {
@@ -242,25 +262,18 @@ fn recovery_survives_a_corrupted_replica_per_shard() {
     drop(durable);
 
     // Shard 0: flip bytes in the middle of replica-00's snapshot.
-    let r0 = dir.join("shard-0000").join("replica-00");
-    let snapshot = std::fs::read_dir(&r0)
-        .expect("replica dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("snapshot-")))
-        .expect("snapshot file");
-    let mut bytes = std::fs::read(&snapshot).expect("read snapshot");
-    let mid = bytes.len() / 2;
-    let end = (mid + 16).min(bytes.len());
-    for b in &mut bytes[mid..end] {
-        *b ^= 0xff;
-    }
-    std::fs::write(&snapshot, bytes).expect("corrupt snapshot");
+    let (snapshot, bytes) = corrupt_snapshot(&dir.join("shard-0000").join("replica-00"));
     // Shard 1: delete replica-00 wholesale.
     std::fs::remove_dir_all(dir.join("shard-0001").join("replica-00")).expect("drop replica");
 
     let reopened = ShardedQaServer::open(&dir, config).expect("failover recovery");
     assert_eq!(reopened.shard_template_counts(), counts, "failover lost templates");
+    // The unreadable replica was moved aside, not deleted.
+    let quarantined = dir
+        .join("shard-0000")
+        .join("replica-00.quarantine-0")
+        .join(snapshot.file_name().expect("snapshot name"));
+    assert_eq!(std::fs::read(&quarantined).expect("quarantined snapshot"), bytes);
     let triples = dataset.kb.triple_store();
     let canonical = reopened.canonical_library();
     for pair in dataset.pairs.iter().take(10) {
@@ -274,5 +287,81 @@ fn recovery_survives_a_corrupted_replica_per_shard() {
     drop(reopened);
     let again = ShardedQaServer::open(&dir, config).expect("second recovery");
     assert_eq!(again.shard_template_counts(), counts);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bootstrap writes `SHARDS` last: a `create` that fails on one replica
+/// (here a regular file squats on its directory path) leaves no topology
+/// file, so `open` refuses the directory instead of serving empty
+/// replicas — also when the failed `create` overwrites a good directory.
+#[test]
+fn failed_bootstrap_leaves_no_topology() {
+    let dir = scratch_dir("bootstrap");
+    let dataset = qa_dataset(779, 30, 20);
+    let library = batch_library(&dataset, 30, JoinParams::simj(1, 0.5));
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None };
+    let create = |shards| {
+        ShardedQaServer::create(
+            &dir,
+            clone_library(&library),
+            dataset.kb.lexicon.clone(),
+            dataset.kb.triple_store(),
+            shards,
+            2,
+            config,
+        )
+    };
+
+    std::fs::create_dir_all(dir.join("shard-0001")).expect("shard dir");
+    std::fs::write(dir.join("shard-0001").join("replica-01"), b"squatter").expect("squat");
+    assert!(create(2).is_err(), "create must fail on the blocked replica");
+    assert!(!dir.join("SHARDS").exists(), "failed create left a topology file");
+    assert!(ShardedQaServer::open(&dir, config).is_err());
+
+    // A good bootstrap, then a failed re-bootstrap over it.
+    std::fs::remove_file(dir.join("shard-0001").join("replica-01")).expect("unsquat");
+    drop(create(2).expect("bootstrap"));
+    assert!(dir.join("SHARDS").exists());
+    std::fs::create_dir_all(dir.join("shard-0002")).expect("shard dir");
+    std::fs::write(dir.join("shard-0002").join("replica-00"), b"squatter").expect("squat");
+    assert!(create(3).is_err());
+    assert!(!dir.join("SHARDS").exists(), "failed re-create kept the old topology");
+    assert!(ShardedQaServer::open(&dir, config).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard none of whose replicas opens is an error, not an empty shard,
+/// and recovery leaves the unreadable bytes where they were — on every
+/// retry.
+#[test]
+fn recovery_refuses_a_shard_with_no_readable_replica() {
+    let dir = scratch_dir("all-corrupt");
+    let dataset = qa_dataset(779, 30, 20);
+    let library = batch_library(&dataset, 30, JoinParams::simj(1, 0.5));
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None };
+    let durable = ShardedQaServer::create(
+        &dir,
+        library,
+        dataset.kb.lexicon.clone(),
+        dataset.kb.triple_store(),
+        2,
+        2,
+        config,
+    )
+    .expect("bootstrap sharded dir");
+    drop(durable);
+
+    let corrupted: Vec<(PathBuf, Vec<u8>)> = (0..2)
+        .map(|ri| corrupt_snapshot(&dir.join("shard-0001").join(format!("replica-{ri:02}"))))
+        .collect();
+    for attempt in 0..2 {
+        assert!(
+            ShardedQaServer::open(&dir, config).is_err(),
+            "attempt {attempt}: opened a shard with no readable replica"
+        );
+        for (path, bytes) in &corrupted {
+            assert_eq!(&std::fs::read(path).expect("corrupt bytes survive"), bytes);
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

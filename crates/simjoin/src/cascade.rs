@@ -1,852 +1,230 @@
-//! Adaptive filter-cascade planner.
+//! The join's filter cascade: the paper's fixed per-strategy stage order.
 //!
-//! The join's filter pipeline is a cascade of sound prune stages: every
-//! GED lower bound from the [`uqsj_ged::bounds::all_bounds`] registry
-//! (τ-prunes, admissible in every possible world) plus the probabilistic
-//! α-prunes (Markov upper bound, Theorem 4, and the group-refined bound,
-//! Algorithm 2). Because each stage only ever discards pairs whose
-//! `SimP_τ` provably falls below α, **any permutation or subset of the
-//! stages yields the identical result pair set** — only candidate counts
-//! and wall time change. That freedom is what this module exploits: it
-//! orders stages by observed selectivity-per-cost and drops stages whose
-//! expected benefit does not pay for their evaluation.
+//! Every pair runs through the stages of its strategy's plan, in order,
+//! until one fires:
 //!
-//! # Planner state machine
-//!
-//! ```text
-//!            pairs < calibration_pairs           every epoch_pairs pairs
-//!  ┌─────────────┐  full-eval all stages  ┌──────────┐  re-rank + hysteresis
-//!  │ CALIBRATING │ ─────────────────────▶ │ STEADY   │ ──────────┐
-//!  └─────────────┘   then rank & adopt    └──────────┘           │
-//!         ▲                                    ▲   every Nth pair │
-//!         │                                    └──── probe ◀──────┘
-//! ```
-//!
-//! * **Calibration** — the first `calibration_pairs` pairs evaluate
-//!   *every* candidate stage (prune-if-any-fires, so the pair outcome is
-//!   unchanged) to warm-start unconditional selectivity and per-pair cost
-//!   estimates.
-//! * **Steady state** — pairs run the current plan with short-circuit
-//!   semantics; per-stage estimates keep accumulating. Every
-//!   `probe_interval`-th pair is a *probe* that full-evaluates all stages
-//!   again so dropped stages keep fresh estimates and can win their way
-//!   back in.
-//! * **Re-planning** — at every `epoch_pairs` boundary one worker claims
-//!   the replan with a CAS, ranks stages by `selectivity / cost`, applies
-//!   the benefit-drop rule back-to-front (keep a stage iff
-//!   `sel × tail_cost > cost`, where `tail_cost` is the expected cost of
-//!   everything after it, seeded by the average verification cost), and
-//!   adopts the new plan only if its expected per-pair cost improves on
-//!   the incumbent by more than `hysteresis` (the first post-calibration
-//!   plan is adopted unconditionally). After each replan the estimate
-//!   window is rescaled to at most `epoch_pairs` observations, so one
-//!   epoch of contrary evidence carries at least half the weight — a
-//!   workload drift re-ranks the cascade within roughly one epoch.
+//! | strategy  | plan |
+//! |-----------|------|
+//! | `CssOnly` | `size → label_multiset → css` |
+//! | `SimJ`    | `size → label_multiset → css → markov` (Algorithm 1) |
+//! | `SimJOpt` | `size → label_multiset → css → markov_opt → grouped` (Algorithm 2) |
 //!
 //! # Soundness
 //!
-//! The grouped stage is special twice over: it is pinned to the end of
-//! the plan and never dropped, because beyond pruning it *partitions* the
-//! possible worlds for the verifier (Algorithm 2's group-level skips),
-//! a benefit the prune-rate cost model cannot see. In `Fixed` mode the
-//! plan is the paper's hard-coded order (size → label-multiset → CSS →
-//! probabilistic) and never changes. `Shuffled` mode derives a random
-//! permutation-plus-subset plan from a seed — it exists for the
-//! conformance oracles, which assert that every such plan produces
-//! byte-identical join results.
+//! Each stage is sound on its own, so the plan decides cost, never the
+//! result set. The three τ-prunes are GED lower bounds admissible in
+//! every possible world: the vertex/edge-count size bound, the
+//! label-multiset bound, and the CSS bound of Theorem 3 — a pair they
+//! discard has `SimP_τ = 0`. The two α-prunes discard a pair only when an
+//! upper bound on `SimP_τ` falls below α: the Markov bound of Theorem 4
+//! (`markov`, and the same computation as `SimJOpt`'s pre-filter,
+//! `markov_opt`) and the group-refined bound of Algorithm 2 (`grouped`),
+//! which also hands its possible-world partition to the verifier.
+//!
+//! A pruned pair is credited to exactly one stage, in [`JoinStats`] and in
+//! `uqsj_join_pruned_total{stage}`; every stage a pair reaches records its
+//! time in `uqsj_join_stage_us{stage}`.
 
 use crate::join::JoinStrategy;
-use crate::obs::{join_obs, stage_handles, StageHandles};
+use crate::obs::stage_handles;
 use crate::stats::JoinStats;
-use parking_lot::Mutex;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-use uqsj_ged::bounds::css::css_terms_uncertain;
-use uqsj_ged::bounds::{all_bounds, LowerBound};
+use std::time::Instant;
+use uqsj_ged::bounds::css::{css_terms_uncertain, CssBound};
+use uqsj_ged::bounds::label_multiset::LabelMultisetBound;
+use uqsj_ged::bounds::size::SizeBound;
+use uqsj_ged::bounds::LowerBound;
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 use uqsj_uncertain::groups::{ub_simp_grouped, PossibleWorldGroup};
 use uqsj_uncertain::prob_bound::ub_simp_with_terms;
 
-/// Fallback expected verification cost (ns) before any candidate has
-/// been verified. Deliberately on the expensive side (the deep workloads
-/// average ~500 µs/pair), so early plans keep filters rather than
-/// dropping them on no evidence.
-const DEFAULT_VERIFY_COST_NS: f64 = 500_000.0;
-
-/// How the cascade plan is chosen.
+/// One cascade stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CascadeMode {
-    /// The paper's hard-coded order: size → label-multiset → CSS →
-    /// probabilistic stage(s). Byte-identical behavior (results *and*
-    /// candidate counts) to the pre-planner pipeline.
-    Fixed,
-    /// Selectivity/cost-ranked ordering with online re-planning over the
-    /// full bound registry. Same results; candidate counts may differ
-    /// (extra registry bounds can prune pairs CSS misses).
-    Adaptive,
-    /// A seed-derived random permutation + subset of the stages, fixed
-    /// for the whole run. Conformance-test mode: exercises the claim
-    /// that any plan yields identical results.
-    Shuffled,
-}
-
-/// Cascade-planner policy knobs, carried inside
-/// [`crate::JoinParams::cascade`].
-#[derive(Clone, Copy, Debug)]
-pub struct CascadePolicy {
-    /// Plan-selection mode.
-    pub mode: CascadeMode,
-    /// Pairs that full-evaluate every stage to warm-start estimates.
-    pub calibration_pairs: u64,
-    /// Pairs between re-plan attempts; also the estimate-window cap.
-    pub epoch_pairs: u64,
-    /// Relative expected-cost improvement a candidate plan must show
-    /// before it replaces the incumbent (0.1 = 10%).
-    pub hysteresis: f64,
-    /// Every `probe_interval`-th steady-state pair full-evaluates all
-    /// stages so dropped stages keep fresh estimates (0 disables probes).
-    pub probe_interval: u64,
-    /// Seed for [`CascadeMode::Shuffled`] plan derivation.
-    pub shuffle_seed: u64,
-}
-
-impl CascadePolicy {
-    /// The paper's fixed stage order (the default).
-    pub fn fixed() -> Self {
-        Self {
-            mode: CascadeMode::Fixed,
-            calibration_pairs: 64,
-            epoch_pairs: 512,
-            hysteresis: 0.1,
-            probe_interval: 64,
-            shuffle_seed: 0,
-        }
-    }
-
-    /// Adaptive planning with default calibration/epoch/probe knobs.
-    pub fn adaptive() -> Self {
-        Self { mode: CascadeMode::Adaptive, ..Self::fixed() }
-    }
-
-    /// A seed-derived random permutation/subset plan (conformance mode).
-    pub fn shuffled(seed: u64) -> Self {
-        Self { mode: CascadeMode::Shuffled, shuffle_seed: seed, ..Self::fixed() }
-    }
-
-    /// Override the calibration-sample size.
-    pub fn with_calibration_pairs(self, calibration_pairs: u64) -> Self {
-        Self { calibration_pairs, ..self }
-    }
-
-    /// Override the re-plan epoch length.
-    pub fn with_epoch_pairs(self, epoch_pairs: u64) -> Self {
-        Self { epoch_pairs: epoch_pairs.max(1), ..self }
-    }
-
-    /// Override the probe interval (0 disables probing).
-    pub fn with_probe_interval(self, probe_interval: u64) -> Self {
-        Self { probe_interval, ..self }
-    }
-
-    /// Override the plan-adoption hysteresis.
-    pub fn with_hysteresis(self, hysteresis: f64) -> Self {
-        Self { hysteresis, ..self }
-    }
-}
-
-impl Default for CascadePolicy {
-    fn default() -> Self {
-        Self::fixed()
-    }
-}
-
-/// What a cascade stage computes.
-enum StageKind {
-    /// A τ-prune: `lb(q, g) > τ` in every possible world.
-    Bound(Box<dyn LowerBound + Send + Sync>),
-    /// The single-group Markov α-prune (Theorem 4), as run by `SimJ`.
+pub(crate) enum Stage {
+    /// Vertex/edge-count difference bound (τ-prune).
+    Size,
+    /// Label-multiset difference bound (τ-prune).
+    LabelMultiset,
+    /// CSS bound, Theorem 3 (τ-prune).
+    Css,
+    /// Markov upper bound on `SimP_τ`, Theorem 4, as run by `SimJ`.
     Markov,
-    /// The same Markov prune when it runs as `SimJOpt`'s pre-filter —
-    /// separate stage identity so the two call sites are distinguishable
-    /// in metrics and stats.
+    /// The same Markov bound as `SimJOpt`'s pre-filter — a separate stage
+    /// identity so the two call sites are distinguishable in metrics.
     MarkovOpt,
-    /// The group-refined α-prune (Algorithm 2). Also yields the world
-    /// partition the verifier consumes.
+    /// Group-refined upper bound, Algorithm 2; also partitions the
+    /// possible worlds for the verifier.
     Grouped,
 }
 
-/// One enrolled stage: its evaluator plus lock-free shared estimates.
-struct Stage {
-    kind: StageKind,
-    label: &'static str,
-    /// Pairs this stage was evaluated on.
-    evaluated: AtomicU64,
-    /// Evaluations on which the stage fired (would have pruned).
-    fired: AtomicU64,
-    /// Summed evaluation time, ns.
-    cost_ns: AtomicU64,
-    /// Process-global metric handles for this stage label.
-    obs: StageHandles,
+impl Stage {
+    /// Every stage, in the index order of [`Stage::index`].
+    pub(crate) const ALL: [Stage; 6] = [
+        Stage::Size,
+        Stage::LabelMultiset,
+        Stage::Css,
+        Stage::Markov,
+        Stage::MarkovOpt,
+        Stage::Grouped,
+    ];
+
+    /// The stage's `stage=...` metric label and [`JoinStats`] key.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Stage::Size => "size",
+            Stage::LabelMultiset => "label_multiset",
+            Stage::Css => "css",
+            Stage::Markov => "markov",
+            Stage::MarkovOpt => "markov_opt",
+            Stage::Grouped => "grouped",
+        }
+    }
+
+    /// Position in [`Stage::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
 }
 
-impl Stage {
-    fn new(kind: StageKind, label: &'static str) -> Self {
-        Self {
-            kind,
-            label,
-            evaluated: AtomicU64::new(0),
-            fired: AtomicU64::new(0),
-            cost_ns: AtomicU64::new(0),
-            obs: stage_handles(label),
-        }
+/// The stages `strategy` runs, in execution order.
+fn stages(strategy: JoinStrategy) -> &'static [Stage] {
+    use Stage::*;
+    match strategy {
+        JoinStrategy::CssOnly => &[Size, LabelMultiset, Css],
+        JoinStrategy::SimJ => &[Size, LabelMultiset, Css, Markov],
+        JoinStrategy::SimJOpt { .. } => &[Size, LabelMultiset, Css, MarkovOpt, Grouped],
     }
+}
 
-    /// (selectivity, avg cost ns); cost is `+∞` with no observations.
-    fn estimates(&self) -> (f64, f64) {
-        let ev = self.evaluated.load(Ordering::Relaxed);
-        if ev == 0 {
-            return (0.0, f64::INFINITY);
-        }
-        let sel = (self.fired.load(Ordering::Relaxed) as f64 / ev as f64).clamp(0.0, 1.0);
-        let cost = (self.cost_ns.load(Ordering::Relaxed) as f64 / ev as f64).max(1.0);
-        (sel, cost)
-    }
+/// Stage labels of `strategy`'s plan, in execution order.
+pub fn plan(strategy: JoinStrategy) -> Vec<&'static str> {
+    stages(strategy).iter().map(|s| s.label()).collect()
 }
 
 /// What one pair's trip through the cascade produced.
 pub(crate) enum CascadeOutcome {
-    /// Discarded by some stage (already credited in stats/metrics).
+    /// Discarded by some stage (already credited in stats and metrics).
     Pruned,
-    /// Survived every stage in the plan; carries the world partition if
-    /// the grouped stage ran.
+    /// Survived every stage; carries the world partition when the grouped
+    /// stage ran.
     Candidate(Option<Vec<PossibleWorldGroup>>),
 }
 
-/// Shared cascade state for one join run: the enrolled stages, their
-/// online estimates, and the current plan. One runtime is shared by all
-/// workers of a parallel join (everything hot is atomic; the plan itself
-/// sits behind a mutex that workers only touch on epoch changes) and can
-/// outlive a single driver call — the serving ingestor keeps one across
-/// questions so adaptation accumulates.
-pub struct CascadeRuntime {
-    policy: CascadePolicy,
+/// Run one pair through `strategy`'s plan. Credits exactly one stage in
+/// `stats` and the process metrics when the pair is pruned, so
+/// `pairs == pruned_total + candidates` holds for every driver.
+pub(crate) fn run_pair(
+    table: &SymbolTable,
+    q: &Graph,
+    g: &UncertainGraph,
     strategy: JoinStrategy,
-    stages: Vec<Stage>,
-    /// Current plan: indexes into `stages`, in execution order.
-    plan: Mutex<Vec<usize>>,
-    /// Bumped on every adopted plan; cursors re-copy the plan when it
-    /// moves.
-    plan_epoch: AtomicU64,
-    /// Pairs that entered the cascade.
-    pairs_done: AtomicU64,
-    /// Pair count at which the next replan fires (`u64::MAX` when the
-    /// mode never replans).
-    next_replan: AtomicU64,
-    /// Re-rank attempts (epoch boundaries reached).
-    replans: AtomicU64,
-    /// Adopted plan changes.
-    adoptions: AtomicU64,
-    verify_count: AtomicU64,
-    verify_cost_ns: AtomicU64,
-}
-
-/// A worker-local view of the shared plan: a cached copy refreshed only
-/// when [`CascadeRuntime`]'s plan epoch moves, so steady-state pairs
-/// never touch the plan mutex.
-#[derive(Default)]
-pub struct CascadeCursor {
-    epoch: Option<u64>,
-    order: Vec<usize>,
-}
-
-impl CascadeCursor {
-    /// A cursor that syncs with the runtime's plan on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn refresh(&mut self, rt: &CascadeRuntime) {
-        let epoch = rt.plan_epoch.load(Ordering::Acquire);
-        if self.epoch != Some(epoch) {
-            self.order = rt.plan.lock().clone();
-            self.epoch = Some(epoch);
-        }
-    }
-}
-
-impl CascadeRuntime {
-    /// Enroll the stages valid for `strategy` and derive the initial
-    /// plan for `policy.mode`.
-    pub fn new(policy: CascadePolicy, strategy: JoinStrategy) -> Self {
-        let mut stages: Vec<Stage> = all_bounds()
-            .into_iter()
-            .map(|b| {
-                let label = b.stage_label();
-                Stage::new(StageKind::Bound(b), label)
-            })
-            .collect();
-        match strategy {
-            JoinStrategy::CssOnly => {}
-            JoinStrategy::SimJ => stages.push(Stage::new(StageKind::Markov, "markov")),
-            JoinStrategy::SimJOpt { .. } => {
-                stages.push(Stage::new(StageKind::MarkovOpt, "markov_opt"));
-                stages.push(Stage::new(StageKind::Grouped, "grouped"));
-            }
-        }
-        let initial = match policy.mode {
-            // The paper's order — also the adaptive warm-up plan until
-            // calibration produces estimates.
-            CascadeMode::Fixed | CascadeMode::Adaptive => {
-                let mut plan = Vec::new();
-                for want in ["size", "label_multiset", "css"] {
-                    if let Some(i) = stages.iter().position(|s| s.label == want) {
-                        plan.push(i);
-                    }
-                }
-                for (i, s) in stages.iter().enumerate() {
-                    if !matches!(s.kind, StageKind::Bound(_)) {
-                        plan.push(i);
-                    }
-                }
-                plan
-            }
-            CascadeMode::Shuffled => shuffled_plan(&stages, policy.shuffle_seed),
-        };
-        let next_replan = if policy.mode == CascadeMode::Adaptive {
-            policy.calibration_pairs.max(1)
-        } else {
-            u64::MAX
-        };
-        Self {
-            policy,
-            strategy,
-            stages,
-            plan: Mutex::new(initial),
-            plan_epoch: AtomicU64::new(0),
-            pairs_done: AtomicU64::new(0),
-            next_replan: AtomicU64::new(next_replan),
-            replans: AtomicU64::new(0),
-            adoptions: AtomicU64::new(0),
-            verify_count: AtomicU64::new(0),
-            verify_cost_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// The policy this runtime was built with.
-    pub fn policy(&self) -> CascadePolicy {
-        self.policy
-    }
-
-    /// Run one pair through the cascade. Credits exactly one stage in
-    /// `stats` and the process metrics when the pair is pruned, so
-    /// `pairs == pruned_total + candidates` holds in every mode.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_pair(
-        &self,
-        cursor: &mut CascadeCursor,
-        table: &SymbolTable,
-        q: &Graph,
-        g: &UncertainGraph,
-        tau: u32,
-        alpha: f64,
-        stats: &mut JoinStats,
-    ) -> CascadeOutcome {
-        let n = self.pairs_done.fetch_add(1, Ordering::Relaxed);
-        let obs = join_obs();
-        let mut full_eval = false;
-        if self.policy.mode == CascadeMode::Adaptive {
-            if n < self.policy.calibration_pairs {
-                full_eval = true;
-                obs.cascade_calibration_pairs.inc();
-            } else {
-                self.maybe_replan();
-                if self.policy.probe_interval > 0 && n.is_multiple_of(self.policy.probe_interval) {
-                    full_eval = true;
-                    obs.cascade_probe_pairs.inc();
-                }
-            }
-        }
-        cursor.refresh(self);
-
-        if full_eval {
-            // Evaluate every enrolled stage (unconditional estimates);
-            // prune if any fired. The pair's fate is identical to
-            // short-circuit execution — each stage is individually sound.
-            let mut fired: Vec<usize> = Vec::new();
-            let mut groups = None;
-            for idx in 0..self.stages.len() {
-                let (hit, parts) = self.timed_eval(idx, table, q, g, tau, alpha);
-                if hit {
-                    fired.push(idx);
-                }
-                if parts.is_some() {
-                    groups = parts;
-                }
-            }
-            if fired.is_empty() {
-                return CascadeOutcome::Candidate(groups);
-            }
-            // Credit the stage that would have fired first under the
-            // current plan, falling back to registry order for stages
-            // the plan dropped.
-            let credit =
-                cursor.order.iter().copied().find(|i| fired.contains(i)).unwrap_or(fired[0]);
-            self.credit_prune(credit, stats);
-            CascadeOutcome::Pruned
-        } else {
-            let mut groups = None;
-            for &idx in &cursor.order {
-                let (hit, parts) = self.timed_eval(idx, table, q, g, tau, alpha);
-                if hit {
-                    self.credit_prune(idx, stats);
-                    return CascadeOutcome::Pruned;
-                }
-                if parts.is_some() {
-                    groups = parts;
-                }
-            }
-            CascadeOutcome::Candidate(groups)
-        }
-    }
-
-    /// Feed the planner's tail-cost model with one verification.
-    pub(crate) fn record_verify(&self, elapsed: Duration) {
-        self.verify_count.fetch_add(1, Ordering::Relaxed);
-        self.verify_cost_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn credit_prune(&self, idx: usize, stats: &mut JoinStats) {
-        let st = &self.stages[idx];
-        st.obs.pruned.inc();
-        stats.record_pruned(st.label, 1);
-    }
-
-    /// Evaluate stage `idx` on the pair, timing it and feeding the
-    /// shared estimates. Returns (fired, world partition).
-    fn timed_eval(
-        &self,
-        idx: usize,
-        table: &SymbolTable,
-        q: &Graph,
-        g: &UncertainGraph,
-        tau: u32,
-        alpha: f64,
-    ) -> (bool, Option<Vec<PossibleWorldGroup>>) {
-        let st = &self.stages[idx];
+    tau: u32,
+    alpha: f64,
+    stats: &mut JoinStats,
+) -> CascadeOutcome {
+    let mut groups = None;
+    for &stage in stages(strategy) {
+        let handles = stage_handles(stage);
         let started = Instant::now();
-        let (hit, parts) = match &st.kind {
-            StageKind::Bound(b) => (b.uncertain(table, q, g) > tau, None),
-            StageKind::Markov | StageKind::MarkovOpt => {
+        let fired = match stage {
+            Stage::Size => SizeBound.uncertain(table, q, g) > tau,
+            Stage::LabelMultiset => LabelMultisetBound.uncertain(table, q, g) > tau,
+            Stage::Css => CssBound.uncertain(table, q, g) > tau,
+            Stage::Markov | Stage::MarkovOpt => {
                 let terms = css_terms_uncertain(table, q, g);
-                (ub_simp_with_terms(table, q, g, tau, &terms) < alpha, None)
+                ub_simp_with_terms(table, q, g, tau, &terms) < alpha
             }
-            StageKind::Grouped => {
-                let group_count = match self.strategy {
-                    JoinStrategy::SimJOpt { group_count } => group_count,
-                    _ => unreachable!("grouped stage only enrolls under SimJOpt"),
+            Stage::Grouped => {
+                let JoinStrategy::SimJOpt { group_count } = strategy else {
+                    unreachable!("only SimJOpt plans the grouped stage")
                 };
                 let (ub, parts) = ub_simp_grouped(table, q, g, tau, group_count);
-                if ub < alpha {
-                    (true, None)
-                } else {
-                    (false, Some(parts))
-                }
+                groups = Some(parts);
+                ub < alpha
             }
         };
-        let elapsed = started.elapsed();
-        st.evaluated.fetch_add(1, Ordering::Relaxed);
-        st.cost_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        if hit {
-            st.fired.fetch_add(1, Ordering::Relaxed);
-        }
-        st.obs.time.observe_duration(elapsed);
-        (hit, parts)
-    }
-
-    /// Claim and execute a replan if the epoch boundary has been
-    /// reached. Cheap when it hasn't (one relaxed load + compare).
-    fn maybe_replan(&self) {
-        let due = self.next_replan.load(Ordering::Relaxed);
-        if self.pairs_done.load(Ordering::Relaxed) < due {
-            return;
-        }
-        let next = due.saturating_add(self.policy.epoch_pairs.max(1));
-        if self
-            .next_replan
-            .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return; // another worker claimed this boundary
-        }
-        let obs = join_obs();
-        obs.cascade_replans.inc();
-        self.replans.fetch_add(1, Ordering::Relaxed);
-        let first = due <= self.policy.calibration_pairs.max(1);
-        let ranked = self.compute_plan();
-        {
-            let mut plan = self.plan.lock();
-            if ranked != *plan {
-                let adopt = first
-                    || self.expected_cost(&ranked)
-                        < self.expected_cost(&plan) * (1.0 - self.policy.hysteresis);
-                if adopt {
-                    obs.cascade_bounds_skipped.add((self.stages.len() - ranked.len()) as u64);
-                    *plan = ranked;
-                    self.plan_epoch.fetch_add(1, Ordering::Release);
-                    self.adoptions.fetch_add(1, Ordering::Relaxed);
-                    obs.cascade_plan_epochs.inc();
-                }
-            }
-        }
-        self.decay();
-    }
-
-    /// Rank stages by selectivity/cost and apply the benefit-drop rule.
-    fn compute_plan(&self) -> Vec<usize> {
-        let grouped = self.stages.iter().position(|s| matches!(s.kind, StageKind::Grouped));
-        let mut order: Vec<usize> =
-            (0..self.stages.len()).filter(|&i| Some(i) != grouped).collect();
-        let rank = |i: usize| -> f64 {
-            let (sel, cost) = self.stages[i].estimates();
-            if cost.is_finite() {
-                sel / cost
-            } else {
-                0.0
-            }
-        };
-        // Stable sort: equal ranks keep registry (cheap-to-expensive)
-        // order, so ties resolve deterministically.
-        order.sort_by(|&a, &b| rank(b).partial_cmp(&rank(a)).unwrap_or(std::cmp::Ordering::Equal));
-        // Benefit-drop rule, back to front: a stage pays for itself iff
-        // the pairs it prunes would have cost more downstream than the
-        // stage costs to run on everything that reaches it.
-        let mut tail = self.verify_cost_estimate();
-        if let Some(gidx) = grouped {
-            // Grouped is pinned last and never dropped (it partitions
-            // worlds for the verifier); upstream stages see its cost as
-            // part of the tail.
-            let (sel, cost) = self.stages[gidx].estimates();
-            if cost.is_finite() {
-                tail = cost + (1.0 - sel) * tail;
-            }
-        }
-        let mut kept_rev: Vec<usize> = Vec::new();
-        for &idx in order.iter().rev() {
-            let (sel, cost) = self.stages[idx].estimates();
-            if cost.is_finite() && sel * tail > cost {
-                kept_rev.push(idx);
-                tail = cost + (1.0 - sel) * tail;
-            }
-        }
-        let mut plan: Vec<usize> = kept_rev.into_iter().rev().collect();
-        if let Some(gidx) = grouped {
-            plan.push(gidx);
-        }
-        plan
-    }
-
-    /// Expected per-pair cascade cost (ns) of running `order` under the
-    /// current estimates, verification tail included.
-    fn expected_cost(&self, order: &[usize]) -> f64 {
-        let mut cost = 0.0;
-        let mut survive = 1.0;
-        for &i in order {
-            let (sel, c) = self.stages[i].estimates();
-            if !c.is_finite() {
-                continue;
-            }
-            cost += survive * c;
-            survive *= 1.0 - sel;
-        }
-        cost + survive * self.verify_cost_estimate()
-    }
-
-    fn verify_cost_estimate(&self) -> f64 {
-        let n = self.verify_count.load(Ordering::Relaxed);
-        if n == 0 {
-            DEFAULT_VERIFY_COST_NS
-        } else {
-            (self.verify_cost_ns.load(Ordering::Relaxed) as f64 / n as f64).max(1.0)
+        handles.time.observe_duration(started.elapsed());
+        if fired {
+            handles.pruned.inc();
+            stats.record_pruned(stage.label(), 1);
+            return CascadeOutcome::Pruned;
         }
     }
-
-    /// Rescale every estimate so it carries at most one epoch's worth of
-    /// observations. The load/store pairs race with concurrent workers
-    /// and may lose a few increments; the estimates are statistical, so
-    /// approximate decay is fine.
-    fn decay(&self) {
-        let window = self.policy.epoch_pairs.max(1);
-        for st in &self.stages {
-            let ev = st.evaluated.load(Ordering::Relaxed);
-            if ev > window {
-                let f = window as f64 / ev as f64;
-                st.evaluated.store(window, Ordering::Relaxed);
-                let fired = st.fired.load(Ordering::Relaxed) as f64;
-                st.fired.store((fired * f).round() as u64, Ordering::Relaxed);
-                let cost = st.cost_ns.load(Ordering::Relaxed) as f64;
-                st.cost_ns.store((cost * f).round() as u64, Ordering::Relaxed);
-            }
-        }
-        let vc = self.verify_count.load(Ordering::Relaxed);
-        if vc > window {
-            let f = window as f64 / vc as f64;
-            self.verify_count.store(window, Ordering::Relaxed);
-            let cost = self.verify_cost_ns.load(Ordering::Relaxed) as f64;
-            self.verify_cost_ns.store((cost * f).round() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot the planner state: current plan, per-stage estimates,
-    /// and replan counters. This is what lands in
-    /// [`crate::JoinStats::cascade`] and `BENCH_join.json`.
-    pub fn report(&self) -> CascadeReport {
-        let plan = self.plan.lock().clone();
-        let stages = self
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, st)| {
-                let (sel, cost) = st.estimates();
-                StageEstimate {
-                    label: st.label,
-                    evaluated: st.evaluated.load(Ordering::Relaxed),
-                    fired: st.fired.load(Ordering::Relaxed),
-                    selectivity: sel,
-                    cost_ns: if cost.is_finite() { cost } else { 0.0 },
-                    in_plan: plan.contains(&i),
-                }
-            })
-            .collect();
-        CascadeReport {
-            mode: self.policy.mode,
-            plan: plan.iter().map(|&i| self.stages[i].label).collect(),
-            stages,
-            pairs_seen: self.pairs_done.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
-            plan_epochs: self.adoptions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Derive a seed-determined permutation + subset plan: each non-grouped
-/// stage is kept with probability 2/3, the survivors are shuffled, and
-/// the grouped stage (when enrolled) is appended at a random position.
-/// At least one stage always survives so the plan is never degenerate
-/// on large workloads (an empty plan is still *correct* — every pair
-/// verifies — just slow).
-fn shuffled_plan(stages: &[Stage], seed: u64) -> Vec<usize> {
-    let mut state = seed;
-    let mut next = move || -> u64 {
-        // splitmix64 — same generator family the testkit seeds use.
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut plan: Vec<usize> = (0..stages.len()).filter(|_| next() % 3 != 0).collect();
-    if plan.is_empty() {
-        plan.push(next() as usize % stages.len());
-    }
-    // Fisher–Yates.
-    for i in (1..plan.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        plan.swap(i, j);
-    }
-    plan
-}
-
-/// One stage's estimate row in a [`CascadeReport`].
-#[derive(Clone, Debug)]
-pub struct StageEstimate {
-    /// Stage label (`uqsj_join_pruned_total{stage=...}`).
-    pub label: &'static str,
-    /// Evaluations observed (post-decay window).
-    pub evaluated: u64,
-    /// Evaluations on which the stage fired.
-    pub fired: u64,
-    /// `fired / evaluated`.
-    pub selectivity: f64,
-    /// Average evaluation cost, ns (0 with no observations).
-    pub cost_ns: f64,
-    /// Whether the current plan includes the stage.
-    pub in_plan: bool,
-}
-
-/// Final planner snapshot: the chosen plan and the per-stage
-/// selectivity/cost table behind it.
-#[derive(Clone, Debug)]
-pub struct CascadeReport {
-    /// Plan-selection mode the run used.
-    pub mode: CascadeMode,
-    /// Stage labels in execution order.
-    pub plan: Vec<&'static str>,
-    /// Estimate rows for every enrolled stage (in-plan or dropped).
-    pub stages: Vec<StageEstimate>,
-    /// Pairs that entered the cascade.
-    pub pairs_seen: u64,
-    /// Re-rank attempts (epoch boundaries reached).
-    pub replans: u64,
-    /// Adopted plan changes.
-    pub plan_epochs: u64,
-}
-
-impl CascadeReport {
-    /// Stage labels the planner left out of the final plan.
-    pub fn dropped(&self) -> Vec<&'static str> {
-        self.stages.iter().filter(|s| !s.in_plan).map(|s| s.label).collect()
-    }
-
-    /// Hand-formatted JSON object for `BENCH_join.json` (the bench
-    /// crate's convention; no serde in-tree).
-    pub fn to_json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        let mode = match self.mode {
-            CascadeMode::Fixed => "fixed",
-            CascadeMode::Adaptive => "adaptive",
-            CascadeMode::Shuffled => "shuffled",
-        };
-        s.push_str(&format!("{indent}{{\n"));
-        s.push_str(&format!("{indent}  \"mode\": \"{mode}\",\n"));
-        let plan: Vec<String> = self.plan.iter().map(|l| format!("\"{l}\"")).collect();
-        s.push_str(&format!("{indent}  \"plan\": [{}],\n", plan.join(", ")));
-        s.push_str(&format!("{indent}  \"pairs_seen\": {},\n", self.pairs_seen));
-        s.push_str(&format!("{indent}  \"replans\": {},\n", self.replans));
-        s.push_str(&format!("{indent}  \"plan_epochs\": {},\n", self.plan_epochs));
-        s.push_str(&format!("{indent}  \"stages\": [\n"));
-        for (i, st) in self.stages.iter().enumerate() {
-            let comma = if i + 1 == self.stages.len() { "" } else { "," };
-            s.push_str(&format!(
-                "{indent}    {{\"stage\": \"{}\", \"evaluated\": {}, \"fired\": {}, \
-                 \"selectivity\": {:.4}, \"cost_ns\": {:.0}, \"in_plan\": {}}}{comma}\n",
-                st.label, st.evaluated, st.fired, st.selectivity, st.cost_ns, st.in_plan
-            ));
-        }
-        s.push_str(&format!("{indent}  ]\n"));
-        s.push_str(&format!("{indent}}}"));
-        s
-    }
-}
-
-impl fmt::Display for CascadeReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "cascade plan ({:?} mode): {}", self.mode, self.plan.join(" -> "))?;
-        let dropped = self.dropped();
-        if !dropped.is_empty() {
-            writeln!(f, "dropped stages: {}", dropped.join(", "))?;
-        }
-        writeln!(
-            f,
-            "pairs {}  replans {}  plan epochs {}",
-            self.pairs_seen, self.replans, self.plan_epochs
-        )?;
-        writeln!(
-            f,
-            "{:<16} {:>10} {:>8} {:>12} {:>12}  in plan",
-            "stage", "evaluated", "fired", "selectivity", "cost"
-        )?;
-        for st in &self.stages {
-            writeln!(
-                f,
-                "{:<16} {:>10} {:>8} {:>12.4} {:>10.2}µs  {}",
-                st.label,
-                st.evaluated,
-                st.fired,
-                st.selectivity,
-                st.cost_ns / 1_000.0,
-                if st.in_plan { "yes" } else { "no" }
-            )?;
-        }
-        Ok(())
-    }
+    CascadeOutcome::Candidate(groups)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uqsj_graph::GraphBuilder;
 
-    fn stage_count(strategy: JoinStrategy) -> usize {
-        CascadeRuntime::new(CascadePolicy::fixed(), strategy).stages.len()
-    }
-
-    #[test]
-    fn enrollment_follows_strategy() {
-        let bounds = all_bounds().len();
-        assert_eq!(stage_count(JoinStrategy::CssOnly), bounds);
-        assert_eq!(stage_count(JoinStrategy::SimJ), bounds + 1);
-        assert_eq!(stage_count(JoinStrategy::SimJOpt { group_count: 4 }), bounds + 2);
+    /// A three-vertex chain `q` and an uncertain copy of it whose every
+    /// vertex carries `q`'s label with probability `p` (else a foreign
+    /// one). Every τ-prune passes at τ = 0 — each vertex *can* match — and
+    /// `SimP_0 = p³`.
+    fn chain_pair(t: &mut SymbolTable, p: f64) -> (Graph, UncertainGraph) {
+        let mut b = GraphBuilder::new(t);
+        for v in ["A", "B", "C"] {
+            b.vertex(v, v);
+        }
+        b.edge("A", "B", "e");
+        b.edge("B", "C", "e");
+        let q = b.into_graph();
+        let mut b = GraphBuilder::new(t);
+        for v in ["A", "B", "C"] {
+            b.uncertain_vertex(v, &[(v, p), ("Z", 1.0 - p)]);
+        }
+        b.edge("A", "B", "e");
+        b.edge("B", "C", "e");
+        (q, b.into_uncertain())
     }
 
     #[test]
     fn fixed_plan_matches_paper_order() {
-        let rt =
-            CascadeRuntime::new(CascadePolicy::fixed(), JoinStrategy::SimJOpt { group_count: 4 });
-        let report = rt.report();
-        assert_eq!(report.plan, vec!["size", "label_multiset", "css", "markov_opt", "grouped"]);
-        // The extra registry bounds are enrolled but not in the fixed
-        // plan.
-        assert!(report.dropped().contains(&"cstar"));
+        assert_eq!(plan(JoinStrategy::CssOnly), ["size", "label_multiset", "css"]);
+        assert_eq!(plan(JoinStrategy::SimJ), ["size", "label_multiset", "css", "markov"]);
+        assert_eq!(
+            plan(JoinStrategy::SimJOpt { group_count: 4 }),
+            ["size", "label_multiset", "css", "markov_opt", "grouped"]
+        );
+        for (i, stage) in Stage::ALL.iter().enumerate() {
+            assert_eq!(stage.index(), i);
+        }
     }
 
     #[test]
-    fn shuffled_plans_are_seed_deterministic_and_vary() {
-        let plan = |seed| {
-            CascadeRuntime::new(CascadePolicy::shuffled(seed), JoinStrategy::SimJ).report().plan
+    fn enrollment_follows_strategy() {
+        // SimP_0 = 0.001 sits far below α = 0.5: the α-stage of each
+        // probabilistic strategy fires, and CssOnly, which has no α-stage,
+        // keeps the pair as a candidate.
+        let mut t = SymbolTable::new();
+        let (q, g) = chain_pair(&mut t, 0.1);
+        let pruned_by = |strategy| {
+            let mut stats = JoinStats::default();
+            let outcome = run_pair(&t, &q, &g, strategy, 0, 0.5, &mut stats);
+            let pruned = matches!(outcome, CascadeOutcome::Pruned);
+            assert_eq!(stats.pruned_total(), u64::from(pruned));
+            stats.pruned_stages().first().map(|&(label, _)| label)
         };
-        assert_eq!(plan(7), plan(7));
-        // At least two of a handful of seeds must disagree, or the
-        // shuffle is broken.
-        let plans: Vec<_> = (0..6).map(plan).collect();
-        assert!(plans.iter().any(|p| *p != plans[0]));
-        for seed in 0..32 {
-            assert!(!plan(seed).is_empty(), "seed {seed} produced an empty plan");
-        }
-    }
-
-    #[test]
-    fn benefit_rule_drops_useless_stages_and_keeps_winners() {
-        let rt = CascadeRuntime::new(CascadePolicy::adaptive(), JoinStrategy::SimJ);
-        // Fake estimates: css prunes everything cheaply, the rest never
-        // fire.
-        for st in &rt.stages {
-            st.evaluated.store(100, Ordering::Relaxed);
-            let (fired, cost) = match st.label {
-                "css" => (95, 200_000u64),
-                "size" => (0, 10_000),
-                _ => (0, 500_000),
-            };
-            st.fired.store(fired, Ordering::Relaxed);
-            st.cost_ns.store(cost, Ordering::Relaxed);
-        }
-        let plan = rt.compute_plan();
-        let labels: Vec<&str> = plan.iter().map(|&i| rt.stages[i].label).collect();
-        assert_eq!(labels, vec!["css"], "only the paying stage survives");
+        assert_eq!(pruned_by(JoinStrategy::CssOnly), None);
+        assert_eq!(pruned_by(JoinStrategy::SimJ), Some("markov"));
+        let opt = pruned_by(JoinStrategy::SimJOpt { group_count: 4 });
+        assert!(matches!(opt, Some("markov_opt" | "grouped")), "{opt:?}");
     }
 
     #[test]
     fn grouped_stage_is_pinned_last_and_never_dropped() {
-        let rt = CascadeRuntime::new(
-            CascadePolicy::adaptive(),
-            JoinStrategy::SimJOpt { group_count: 4 },
-        );
-        for st in &rt.stages {
-            st.evaluated.store(100, Ordering::Relaxed);
-            let fired = if st.label == "css" { 90 } else { 0 };
-            st.fired.store(fired, Ordering::Relaxed);
-            st.cost_ns.store(100_000, Ordering::Relaxed);
-        }
-        let plan = rt.compute_plan();
-        let labels: Vec<&str> = plan.iter().map(|&i| rt.stages[i].label).collect();
-        assert_eq!(labels.last(), Some(&"grouped"));
-    }
-
-    #[test]
-    fn report_json_is_balanced() {
-        let rt = CascadeRuntime::new(CascadePolicy::adaptive(), JoinStrategy::SimJ);
-        let json = rt.report().to_json("  ");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"mode\": \"adaptive\""));
+        assert_eq!(plan(JoinStrategy::SimJOpt { group_count: 4 }).last(), Some(&"grouped"));
+        // A surviving SimJOpt pair carries the grouped stage's world
+        // partition to the verifier; the other strategies carry none.
+        let mut t = SymbolTable::new();
+        let (q, g) = chain_pair(&mut t, 0.9);
+        let groups =
+            |strategy| match run_pair(&t, &q, &g, strategy, 0, 0.5, &mut JoinStats::default()) {
+                CascadeOutcome::Candidate(groups) => groups.map(|p| p.len()),
+                CascadeOutcome::Pruned => panic!("{strategy:?} pruned a pair with SimP > α"),
+            };
+        assert!(groups(JoinStrategy::SimJOpt { group_count: 4 }).is_some_and(|n| n >= 1));
+        assert_eq!(groups(JoinStrategy::SimJ), None);
+        assert_eq!(groups(JoinStrategy::CssOnly), None);
     }
 }

@@ -6,9 +6,9 @@
 //! cross-product scan into per-question window lookups — the kind of
 //! engineering the paper's 73,057-query workload demands.
 
-use crate::cascade::{CascadeCursor, CascadeRuntime};
+use crate::cascade::Stage;
 use crate::join::{join_pair, JoinMatch, JoinParams};
-use crate::obs::stage_handles;
+use crate::obs::{join_obs, stage_handles};
 use crate::stats::JoinStats;
 use uqsj_ged::GedEngine;
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
@@ -67,31 +67,9 @@ impl<'a> JoinIndex<'a> {
 
     /// [`JoinIndex::join_one`] on a caller-owned [`GedEngine`], so a
     /// long-lived ingester reuses one workspace across every question.
-    /// Builds a fresh cascade runtime per call; use
-    /// [`JoinIndex::join_one_in`] to keep planner state across questions.
     pub fn join_one_with(
         &self,
         engine: &mut GedEngine,
-        table: &SymbolTable,
-        g_index: usize,
-        g: &UncertainGraph,
-        params: JoinParams,
-    ) -> (Vec<JoinMatch>, JoinStats) {
-        let cascade = CascadeRuntime::new(params.cascade, params.strategy);
-        let mut cursor = CascadeCursor::new();
-        self.join_one_in(engine, &cascade, &mut cursor, table, g_index, g, params)
-    }
-
-    /// [`JoinIndex::join_one_with`] against a caller-owned cascade
-    /// runtime. A streaming ingester keeps one runtime (and cursor) for
-    /// its lifetime, so the adaptive planner's estimates accumulate
-    /// across questions instead of restarting cold on every arrival.
-    #[allow(clippy::too_many_arguments)] // streaming driver's full context
-    pub fn join_one_in(
-        &self,
-        engine: &mut GedEngine,
-        cascade: &CascadeRuntime,
-        cursor: &mut CascadeCursor,
         table: &SymbolTable,
         g_index: usize,
         g: &UncertainGraph,
@@ -104,33 +82,16 @@ impl<'a> JoinIndex<'a> {
         let mut hits = 0u64;
         for qi in self.candidates(v, e, params.tau) {
             hits += 1;
-            join_pair(
-                engine,
-                cascade,
-                cursor,
-                table,
-                qi,
-                &self.d[qi],
-                g_index,
-                g,
-                params,
-                &mut out,
-                &mut stats,
-            );
+            join_pair(engine, table, qi, &self.d[qi], g_index, g, params, &mut out, &mut stats);
         }
         // Pairs outside the window fail the size bound by construction, so
-        // they land in the same `pruned_size` bucket the in-window cascade
-        // uses — indexed and plain joins report identical stage counts.
-        // (The cascade runtime deliberately does *not* see these pairs:
-        // in-window pairs pass the size bound by construction, so the
-        // planner correctly learns the size stage is redundant here.)
+        // they land in the same `size` bucket the in-window cascade uses —
+        // indexed and plain joins report identical stage counts.
         let skipped = self.d.len() as u64 - hits;
         stats.pairs_total += skipped;
-        stats.record_pruned("size", skipped);
-        let obs = crate::obs::join_obs();
-        obs.pairs.add(skipped);
-        stage_handles("size").pruned.add(skipped);
-        stats.cascade = Some(cascade.report());
+        stats.record_pruned(Stage::Size.label(), skipped);
+        join_obs().pairs.add(skipped);
+        stage_handles(Stage::Size).pruned.add(skipped);
         out.sort_by_key(|m| m.q_index);
         (out, stats)
     }
@@ -150,16 +111,11 @@ pub fn sim_join_indexed(
     let mut out = Vec::new();
     let mut stats = JoinStats::default();
     let mut engine = GedEngine::new();
-    // One planner for the whole batch, matching the plain driver.
-    let cascade = CascadeRuntime::new(params.cascade, params.strategy);
-    let mut cursor = CascadeCursor::new();
     for (gi, g) in u.iter().enumerate() {
-        let (matches, s) =
-            index.join_one_in(&mut engine, &cascade, &mut cursor, table, gi, g, params);
+        let (matches, s) = index.join_one_with(&mut engine, table, gi, g, params);
         out.extend(matches);
         stats.merge(&s);
     }
-    stats.cascade = Some(cascade.report());
     out.sort_by_key(|m| (m.g_index, m.q_index));
     (out, stats)
 }

@@ -1,7 +1,7 @@
 //! The SimJ procedure (Algorithm 1) and its group-optimized variant
 //! (Algorithm 2).
 
-use crate::cascade::{CascadeCursor, CascadeOutcome, CascadePolicy, CascadeRuntime};
+use crate::cascade::{run_pair, CascadeOutcome};
 use crate::obs::join_obs;
 use crate::stats::JoinStats;
 use std::time::Instant;
@@ -39,34 +39,18 @@ pub struct JoinParams {
     /// Monte-Carlo sampling, or world-count-adaptive dispatch between the
     /// two (see [`uqsj_sample::SimpPolicy`]).
     pub simp: SimpPolicy,
-    /// How the filter stages are ordered and selected: the paper's fixed
-    /// cascade, the adaptive selectivity/cost planner, or a seeded
-    /// shuffle (see [`crate::cascade::CascadePolicy`]). Every choice
-    /// yields the identical result pair set.
-    pub cascade: CascadePolicy,
 }
 
 impl JoinParams {
-    /// Algorithm-1 parameters (`SimJ`) with the paper's defaults:
-    /// exact-only verification, fixed stage order.
+    /// Algorithm-1 parameters (`SimJ`) with the paper's default of
+    /// exact-only verification.
     pub fn simj(tau: u32, alpha: f64) -> Self {
-        Self {
-            tau,
-            alpha,
-            strategy: JoinStrategy::SimJ,
-            simp: SimpPolicy::exact(),
-            cascade: CascadePolicy::fixed(),
-        }
+        Self { tau, alpha, strategy: JoinStrategy::SimJ, simp: SimpPolicy::exact() }
     }
 
     /// The same parameters with a different verification-tier policy.
     pub fn with_simp(self, simp: SimpPolicy) -> Self {
         Self { simp, ..self }
-    }
-
-    /// The same parameters with a different cascade policy.
-    pub fn with_cascade(self, cascade: CascadePolicy) -> Self {
-        Self { cascade, ..self }
     }
 }
 
@@ -96,44 +80,15 @@ pub fn sim_join(
     u: &[UncertainGraph],
     params: JoinParams,
 ) -> (Vec<JoinMatch>, JoinStats) {
-    let cascade = CascadeRuntime::new(params.cascade, params.strategy);
-    sim_join_in(&cascade, table, d, u, params)
-}
-
-/// [`sim_join`] against a caller-owned cascade runtime, so several runs
-/// (or a streaming driver) can share one planner's accumulated
-/// estimates. The runtime must have been built with the same strategy as
-/// `params.strategy`.
-pub fn sim_join_in(
-    cascade: &CascadeRuntime,
-    table: &SymbolTable,
-    d: &[Graph],
-    u: &[UncertainGraph],
-    params: JoinParams,
-) -> (Vec<JoinMatch>, JoinStats) {
     let mut out = Vec::new();
     let mut stats = JoinStats::default();
     // One search workspace for the whole candidate stream.
     let mut engine = GedEngine::new();
-    let mut cursor = CascadeCursor::new();
     for (gi, g) in u.iter().enumerate() {
         for (qi, q) in d.iter().enumerate() {
-            join_pair(
-                &mut engine,
-                cascade,
-                &mut cursor,
-                table,
-                qi,
-                q,
-                gi,
-                g,
-                params,
-                &mut out,
-                &mut stats,
-            );
+            join_pair(&mut engine, table, qi, q, gi, g, params, &mut out, &mut stats);
         }
     }
-    stats.cascade = Some(cascade.report());
     (out, stats)
 }
 
@@ -141,8 +96,6 @@ pub fn sim_join_in(
 #[allow(clippy::too_many_arguments)] // the join loop's full context
 pub(crate) fn join_pair(
     engine: &mut GedEngine,
-    cascade: &CascadeRuntime,
-    cursor: &mut CascadeCursor,
     table: &SymbolTable,
     qi: usize,
     q: &Graph,
@@ -156,11 +109,9 @@ pub(crate) fn join_pair(
     let obs = join_obs();
     obs.pairs.inc();
 
-    // Filtering: run the pair through whatever plan the cascade runtime
-    // currently holds. Every stage is individually sound, so the plan
-    // only decides *cost*, never the result set.
+    // Filtering: the strategy's fixed stage order (see `crate::cascade`).
     let pruning_started = Instant::now();
-    let outcome = cascade.run_pair(cursor, table, q, g, params.tau, params.alpha, stats);
+    let outcome = run_pair(table, q, g, params.strategy, params.tau, params.alpha, stats);
     stats.pruning_time += pruning_started.elapsed();
     let groups = match outcome {
         CascadeOutcome::Pruned => return,
@@ -189,7 +140,6 @@ pub(crate) fn join_pair(
     );
     let verify_elapsed = verification_started.elapsed();
     obs.t_verify.observe_duration(verify_elapsed);
-    cascade.record_verify(verify_elapsed);
     stats.verification_time += verify_elapsed;
     stats.worlds_verified += outcome.worlds_verified as u64;
     stats.worlds_sampled += outcome.worlds_sampled;
@@ -305,42 +255,6 @@ mod tests {
         let count = |alpha| sim_join(&t, &d, &u, JoinParams::simj(1, alpha)).0.len();
         assert!(count(0.1) >= count(0.5));
         assert!(count(0.5) >= count(0.95));
-    }
-
-    #[test]
-    fn cascade_policies_agree_on_results() {
-        let mut t = SymbolTable::new();
-        let (d, u) = workload(&mut t);
-        let collect = |cascade| {
-            let params = JoinParams::simj(1, 0.3).with_cascade(cascade);
-            let (m, _) = sim_join(&t, &d, &u, params);
-            let mut pairs: Vec<(usize, usize)> = m.iter().map(|x| (x.q_index, x.g_index)).collect();
-            pairs.sort_unstable();
-            pairs
-        };
-        let fixed = collect(CascadePolicy::fixed());
-        // Tiny knobs so the adaptive planner calibrates and replans even
-        // on this four-pair workload.
-        let adaptive =
-            collect(CascadePolicy::adaptive().with_calibration_pairs(2).with_epoch_pairs(1));
-        assert_eq!(fixed, adaptive, "plan choice must not change results");
-        for seed in 0..8 {
-            assert_eq!(
-                fixed,
-                collect(CascadePolicy::shuffled(seed)),
-                "shuffled plan (seed {seed}) changed the result set"
-            );
-        }
-    }
-
-    #[test]
-    fn stats_carry_a_cascade_report() {
-        let mut t = SymbolTable::new();
-        let (d, u) = workload(&mut t);
-        let (_, stats) = sim_join(&t, &d, &u, JoinParams::simj(1, 0.5));
-        let report = stats.cascade.expect("sequential driver stamps the report");
-        assert_eq!(report.pairs_seen, stats.pairs_total);
-        assert_eq!(report.plan.first(), Some(&"size"));
     }
 
     #[test]

@@ -23,11 +23,10 @@ pub mod parallel;
 pub mod stats;
 pub mod topk;
 
-pub use cascade::{CascadeCursor, CascadeMode, CascadePolicy, CascadeReport, CascadeRuntime};
 pub use index::{sim_join_indexed, JoinIndex};
-pub use join::{sim_join, sim_join_in, JoinMatch, JoinParams, JoinStrategy};
+pub use join::{sim_join, JoinMatch, JoinParams, JoinStrategy};
 pub use parallel::sim_join_parallel;
 pub use stats::JoinStats;
-pub use topk::{sim_join_topk, sim_join_topk_with, TopKMatch};
+pub use topk::{sim_join_topk, TopKMatch};
 pub use uqsj_ged::GedEngine;
 pub use uqsj_sample::{SimpMode, SimpPolicy, Tier};

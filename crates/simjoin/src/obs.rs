@@ -1,17 +1,15 @@
 //! Metric handles for the join cascade.
 //!
 //! Per-stage handles (one prune counter + one time histogram, labelled
-//! `stage=...`) are keyed by stage label instead of being hard-coded
-//! fields, so any bound enrolled in the `ged::bounds::all_bounds()`
-//! registry gets metrics without touching this file. The counters mirror
-//! the per-run [`crate::JoinStats`] counters but accumulate process-wide,
-//! so a serving process exposes its lifetime pruning profile without
-//! threading stats through every call site.
+//! `stage=...`) exist once per cascade stage. The counters mirror the
+//! per-run [`crate::JoinStats`] counters but accumulate process-wide, so a
+//! serving process exposes its lifetime pruning profile without threading
+//! stats through every call site.
 
-use parking_lot::Mutex;
+use crate::cascade::Stage;
 use std::sync::OnceLock;
 
-/// Stage-independent join counters plus the cascade-planner family.
+/// Stage-independent join counters.
 pub(crate) struct JoinObs {
     pub pairs: uqsj_obs::Counter,
     pub candidates: uqsj_obs::Counter,
@@ -19,19 +17,6 @@ pub(crate) struct JoinObs {
     /// Per-pair verification time (µs); counts every pair that survived
     /// all filters.
     pub t_verify: uqsj_obs::Histogram,
-    /// Pairs evaluated with every candidate stage to warm-start the
-    /// adaptive planner's selectivity/cost estimates.
-    pub cascade_calibration_pairs: uqsj_obs::Counter,
-    /// Probe pairs: post-calibration pairs re-evaluated with every
-    /// candidate stage so dropped stages keep fresh estimates.
-    pub cascade_probe_pairs: uqsj_obs::Counter,
-    /// Re-rank attempts (one per epoch boundary in adaptive mode).
-    pub cascade_replans: uqsj_obs::Counter,
-    /// Adopted plan changes (re-ranks that survived hysteresis).
-    pub cascade_plan_epochs: uqsj_obs::Counter,
-    /// Candidate stages left out of an adopted plan, summed over
-    /// adoptions (benefit-below-cost drops).
-    pub cascade_bounds_skipped: uqsj_obs::Counter,
 }
 
 pub(crate) fn join_obs() -> &'static JoinObs {
@@ -47,32 +32,11 @@ pub(crate) fn join_obs() -> &'static JoinObs {
                 &[("stage", "verify")],
                 "per-pair time in each cascade stage",
             ),
-            cascade_calibration_pairs: r.counter(
-                "uqsj_cascade_calibration_pairs_total",
-                "pairs evaluated with every stage to warm-start the planner",
-            ),
-            cascade_probe_pairs: r.counter(
-                "uqsj_cascade_probe_pairs_total",
-                "pairs re-evaluated with every stage to refresh dropped-stage estimates",
-            ),
-            cascade_replans: r.counter(
-                "uqsj_cascade_replans_total",
-                "cascade re-rank attempts (epoch boundaries)",
-            ),
-            cascade_plan_epochs: r.counter(
-                "uqsj_cascade_plan_epochs_total",
-                "adopted cascade plan changes (re-ranks surviving hysteresis)",
-            ),
-            cascade_bounds_skipped: r.counter(
-                "uqsj_cascade_bounds_skipped_total",
-                "candidate stages dropped from adopted plans (benefit below cost)",
-            ),
         }
     })
 }
 
 /// Process-global handles for one cascade stage.
-#[derive(Clone)]
 pub(crate) struct StageHandles {
     /// Pairs discarded by this stage (`uqsj_join_pruned_total{stage=..}`).
     pub pruned: uqsj_obs::Counter,
@@ -81,32 +45,31 @@ pub(crate) struct StageHandles {
     pub time: uqsj_obs::Histogram,
 }
 
-/// Handles for the stage labelled `label`, registered on first use.
-///
-/// The registry wants `&'static` label slices; each distinct stage label
-/// leaks exactly one two-element slice, memoized here — stage labels come
-/// from the fixed bound registry plus the probabilistic stages, so the
-/// leak is bounded by that set, not by call volume.
-pub(crate) fn stage_handles(label: &'static str) -> StageHandles {
-    static CACHE: OnceLock<Mutex<Vec<(&'static str, StageHandles)>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    let mut cache = cache.lock();
-    if let Some((_, handles)) = cache.iter().find(|(l, _)| *l == label) {
-        return handles.clone();
-    }
-    let labels: &'static [(&'static str, &'static str)] =
-        Box::leak(vec![("stage", label)].into_boxed_slice());
-    let r = uqsj_obs::global();
-    let handles = StageHandles {
-        pruned: r.counter_with(
-            "uqsj_join_pruned_total",
-            labels,
-            "pairs discarded by each filter stage",
-        ),
-        time: r.histogram_with("uqsj_join_stage_us", labels, "per-pair time in each cascade stage"),
-    };
-    cache.push((label, handles.clone()));
-    handles
+/// Handles for `stage`, registered together on first use.
+pub(crate) fn stage_handles(stage: Stage) -> &'static StageHandles {
+    static HANDLES: OnceLock<[StageHandles; 6]> = OnceLock::new();
+    let all = HANDLES.get_or_init(|| {
+        let r = uqsj_obs::global();
+        Stage::ALL.map(|s| {
+            // The registry wants `&'static` label slices: one leaked
+            // two-element slice per stage, once per process.
+            let labels: &'static [(&'static str, &'static str)] =
+                Box::leak(Box::new([("stage", s.label())]));
+            StageHandles {
+                pruned: r.counter_with(
+                    "uqsj_join_pruned_total",
+                    labels,
+                    "pairs discarded by each filter stage",
+                ),
+                time: r.histogram_with(
+                    "uqsj_join_stage_us",
+                    labels,
+                    "per-pair time in each cascade stage",
+                ),
+            }
+        })
+    });
+    &all[stage.index()]
 }
 
 #[cfg(test)]
@@ -115,10 +78,8 @@ mod tests {
 
     #[test]
     fn stage_handles_are_memoized_per_label() {
-        let a = stage_handles("size");
-        a.pruned.add(2);
-        let b = stage_handles("size");
+        stage_handles(Stage::Size).pruned.add(2);
         // Same underlying counter: the second lookup sees the first add.
-        assert!(b.pruned.value() >= 2);
+        assert!(stage_handles(Stage::Size).pruned.value() >= 2);
     }
 }

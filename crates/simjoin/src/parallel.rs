@@ -15,7 +15,6 @@
 //! parallel join no longer claims a response time several times larger
 //! than the clock on the wall.
 
-use crate::cascade::{CascadeCursor, CascadeRuntime};
 use crate::join::{join_pair, JoinMatch, JoinParams};
 use crate::stats::JoinStats;
 use parking_lot::Mutex;
@@ -42,39 +41,21 @@ pub fn sim_join_parallel(
     let started = Instant::now();
     let shared: Mutex<(Vec<JoinMatch>, JoinStats)> = Mutex::new((Vec::new(), JoinStats::default()));
     let next = AtomicUsize::new(0);
-    // One cascade runtime for the whole run: workers share the planner's
-    // selectivity/cost estimates through its atomics and pick up adopted
-    // plans through their per-worker cursors on the next epoch check.
-    let cascade = CascadeRuntime::new(params.cascade, params.strategy);
     crossbeam::thread::scope(|scope| {
         for _ in 0..threads.min(u.len()) {
             let shared = &shared;
             let next = &next;
-            let cascade = &cascade;
             scope.spawn(move |_| {
                 let mut local = Vec::new();
                 let mut stats = JoinStats::default();
                 // One search workspace per worker, reused across all the
                 // uncertain graphs this worker claims.
                 let mut engine = GedEngine::new();
-                let mut cursor = CascadeCursor::new();
                 loop {
                     let gi = next.fetch_add(1, Ordering::Relaxed);
                     let Some(g) = u.get(gi) else { break };
                     for (qi, q) in d.iter().enumerate() {
-                        join_pair(
-                            &mut engine,
-                            cascade,
-                            &mut cursor,
-                            table,
-                            qi,
-                            q,
-                            gi,
-                            g,
-                            params,
-                            &mut local,
-                            &mut stats,
-                        );
+                        join_pair(&mut engine, table, qi, q, gi, g, params, &mut local, &mut stats);
                     }
                 }
                 let mut guard = shared.lock();
@@ -86,7 +67,6 @@ pub fn sim_join_parallel(
     .expect("join worker panicked");
     let (mut matches, mut stats) = shared.into_inner();
     stats.wall_time = started.elapsed();
-    stats.cascade = Some(cascade.report());
     matches.sort_by_key(|m| (m.g_index, m.q_index));
     (matches, stats)
 }

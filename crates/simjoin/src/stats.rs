@@ -1,6 +1,6 @@
 //! Join instrumentation: everything the efficiency experiments report.
 
-use crate::cascade::CascadeReport;
+use crate::cascade::Stage;
 use std::time::Duration;
 
 /// Counters and timers accumulated over one join run.
@@ -8,10 +8,10 @@ use std::time::Duration;
 /// # Per-stage counters
 ///
 /// Pruned-pair counts are keyed by cascade stage label (the same
-/// `stage=...` labels `uqsj_join_pruned_total` carries), so a bound added
-/// to the [`uqsj_ged::bounds::all_bounds`] registry gets its own counter
-/// without touching this file. The historical per-stage field names
-/// survive as accessor methods ([`JoinStats::pruned_size`], ...).
+/// `stage=...` labels `uqsj_join_pruned_total` carries) and kept in
+/// cascade order, so every driver reports the identical funnel. The
+/// historical per-stage field names survive as accessor methods
+/// ([`JoinStats::pruned_size`], ...).
 ///
 /// # Time accounting
 ///
@@ -29,9 +29,10 @@ use std::time::Duration;
 pub struct JoinStats {
     /// `|D| × |U|`.
     pub pairs_total: u64,
-    /// Pairs discarded per cascade stage, keyed by stage label in the
-    /// order the stages first fired. Small (≤ registry size), so a linear
-    /// scan beats a hash map on the per-pair hot path.
+    /// Pairs discarded per cascade stage, keyed by stage label in cascade
+    /// order; stages that discarded nothing are absent. Small (≤ six
+    /// stages), so a linear scan beats a hash map on the per-pair hot
+    /// path.
     pruned: Vec<(&'static str, u64)>,
     /// Pairs that reached verification.
     pub candidates: u64,
@@ -60,18 +61,21 @@ pub struct JoinStats {
     /// workers overlap (zero means "not measured": sequential runs, where
     /// [`JoinStats::cpu_time`] already *is* the wall clock).
     pub wall_time: Duration,
-    /// Final cascade-planner snapshot (chosen plan, per-stage
-    /// selectivity/cost), stamped by the drivers when the run ends.
-    pub cascade: Option<CascadeReport>,
 }
 
 impl JoinStats {
     /// Record `n` pairs discarded by the stage labelled `label`.
     pub fn record_pruned(&mut self, label: &'static str, n: u64) {
+        if n == 0 {
+            return;
+        }
         if let Some(entry) = self.pruned.iter_mut().find(|(l, _)| *l == label) {
             entry.1 += n;
         } else {
-            self.pruned.push((label, n));
+            let rank =
+                |l: &str| Stage::ALL.iter().position(|s| s.label() == l).unwrap_or(usize::MAX);
+            let at = self.pruned.partition_point(|&(l, _)| rank(l) <= rank(label));
+            self.pruned.insert(at, (label, n));
         }
     }
 
@@ -80,7 +84,8 @@ impl JoinStats {
         self.pruned.iter().find(|(l, _)| *l == label).map_or(0, |(_, n)| *n)
     }
 
-    /// Every stage that discarded at least one pair, with its count.
+    /// Every stage that discarded at least one pair, with its count, in
+    /// cascade order.
     pub fn pruned_stages(&self) -> &[(&'static str, u64)] {
         &self.pruned
     }
@@ -191,9 +196,6 @@ impl JoinStats {
         self.pruning_time += other.pruning_time;
         self.verification_time += other.verification_time;
         self.wall_time = self.wall_time.max(other.wall_time);
-        if self.cascade.is_none() {
-            self.cascade = other.cascade.clone();
-        }
     }
 }
 
@@ -220,10 +222,14 @@ mod tests {
     #[test]
     fn pruned_counters_are_keyed_by_stage_label() {
         let mut s = JoinStats::default();
-        s.record_pruned("size", 3);
-        s.record_pruned("css", 2);
-        s.record_pruned("size", 1);
         s.record_pruned("markov_opt", 5);
+        s.record_pruned("css", 2);
+        s.record_pruned("size", 3);
+        s.record_pruned("size", 1);
+        s.record_pruned("grouped", 0);
+        // Cascade order whatever order the stages fired in; empty stages
+        // stay absent.
+        assert_eq!(s.pruned_stages(), [("size", 4), ("css", 2), ("markov_opt", 5)]);
         assert_eq!(s.pruned_size(), 4);
         assert_eq!(s.pruned_structural(), 2);
         assert_eq!(s.pruned_probabilistic(), 5);

@@ -9,7 +9,7 @@
 //! stop: once the k-th exact probability is at least the next upper
 //! bound, no unverified candidate can enter the top k.
 
-use crate::cascade::{CascadeCursor, CascadeOutcome, CascadePolicy, CascadeRuntime};
+use crate::cascade::{run_pair, CascadeOutcome};
 use crate::join::JoinStrategy;
 use crate::stats::JoinStats;
 use std::time::Instant;
@@ -47,7 +47,9 @@ pub struct TopKStats {
 
 /// For each `g ∈ u`, the top `k` queries of `d` by `SimP_τ`, descending.
 /// Queries with zero probability are never reported. Prefilters with the
-/// paper's fixed cascade; see [`sim_join_topk_with`] for plan control.
+/// `CssOnly` cascade's τ-prunes (a pruned pair has `SimP_τ = 0`); the
+/// probabilistic α-stages never apply here because top-k has no α
+/// threshold.
 pub fn sim_join_topk(
     table: &SymbolTable,
     d: &[Graph],
@@ -55,37 +57,19 @@ pub fn sim_join_topk(
     tau: u32,
     k: usize,
 ) -> (Vec<Vec<TopKMatch>>, TopKStats) {
-    sim_join_topk_with(table, d, u, tau, k, CascadePolicy::fixed())
-}
-
-/// [`sim_join_topk`] with an explicit cascade policy for the τ-prune
-/// prefilter. Only the registry's lower-bound stages run (a pruned pair
-/// has `SimP_τ = 0` in every plan, so the top-k sets agree across
-/// policies); the probabilistic α-stages never apply here because top-k
-/// has no α threshold.
-pub fn sim_join_topk_with(
-    table: &SymbolTable,
-    d: &[Graph],
-    u: &[UncertainGraph],
-    tau: u32,
-    k: usize,
-    policy: CascadePolicy,
-) -> (Vec<Vec<TopKMatch>>, TopKStats) {
     let started = Instant::now();
     let mut stats = TopKStats::default();
     let mut out = Vec::with_capacity(u.len());
     let mut engine = GedEngine::new();
-    // `CssOnly` enrolls exactly the bound stages. α is irrelevant without
-    // probabilistic stages; the per-pair prune counters land in a scratch
-    // JoinStats the top-k report does not consume.
-    let cascade = CascadeRuntime::new(policy, JoinStrategy::CssOnly);
-    let mut cursor = CascadeCursor::new();
+    // α is irrelevant without probabilistic stages; the per-pair prune
+    // counters land in a scratch JoinStats the top-k report does not
+    // consume.
     let mut scratch = JoinStats::default();
     for g in u {
         // Structural filter + upper-bound ranking.
         let mut candidates: Vec<(usize, f64)> = Vec::new();
         for (qi, q) in d.iter().enumerate() {
-            let outcome = cascade.run_pair(&mut cursor, table, q, g, tau, 0.0, &mut scratch);
+            let outcome = run_pair(table, q, g, JoinStrategy::CssOnly, tau, 0.0, &mut scratch);
             if matches!(outcome, CascadeOutcome::Candidate(_)) {
                 let terms = css_terms_uncertain(table, q, g);
                 let ub = ub_simp_with_terms(table, q, g, tau, &terms);
@@ -178,27 +162,6 @@ mod tests {
         assert_eq!(results[0].len(), 1);
         assert_eq!(results[0][0].q_index, 0); // the Actor query
         assert!((results[0][0].prob - 0.7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn topk_is_invariant_to_cascade_policy() {
-        let mut t = SymbolTable::new();
-        let (d, u) = workload(&mut t);
-        let run = |policy| {
-            let (results, _) = sim_join_topk_with(&t, &d, &u, 1, 2, policy);
-            results
-                .into_iter()
-                .map(|top| top.into_iter().map(|m| (m.q_index, m.prob)).collect::<Vec<_>>())
-                .collect::<Vec<_>>()
-        };
-        let fixed = run(CascadePolicy::fixed());
-        for seed in 0..6 {
-            assert_eq!(fixed, run(CascadePolicy::shuffled(seed)), "seed {seed}");
-        }
-        assert_eq!(
-            fixed,
-            run(CascadePolicy::adaptive().with_calibration_pairs(1).with_epoch_pairs(1))
-        );
     }
 
     #[test]

@@ -9,6 +9,8 @@ use uqsj_uncertain::similarity_probability;
 
 const VLABELS: [&str; 4] = ["A", "B", "C", "?x"];
 const ELABELS: [&str; 2] = ["p", "q"];
+const STRATEGIES: [JoinStrategy; 3] =
+    [JoinStrategy::CssOnly, JoinStrategy::SimJ, JoinStrategy::SimJOpt { group_count: 4 }];
 
 type RawEdge = (u8, u8, u8);
 type RawCertain = (Vec<u8>, Vec<RawEdge>);
@@ -138,15 +140,21 @@ proptest! {
         tau in 0u32..3,
     ) {
         let (t, d, u) = build(&raw);
-        let params = JoinParams::simj(tau, 0.4);
-        let (plain, ps) = sim_join(&t, &d, &u, params);
-        let (indexed, is_) = uqsj_simjoin::sim_join_indexed(&t, &d, &u, params);
-        let key = |m: &uqsj_simjoin::JoinMatch| (m.g_index, m.q_index);
-        let mut a: Vec<_> = plain.iter().map(key).collect();
-        a.sort_unstable();
-        let b: Vec<_> = indexed.iter().map(key).collect();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(ps.pairs_total, is_.pairs_total);
+        for strategy in STRATEGIES {
+            let params = JoinParams { strategy, ..JoinParams::simj(tau, 0.4) };
+            let (plain, ps) = sim_join(&t, &d, &u, params);
+            let (indexed, is_) = uqsj_simjoin::sim_join_indexed(&t, &d, &u, params);
+            let key = |m: &uqsj_simjoin::JoinMatch| (m.g_index, m.q_index);
+            let mut a: Vec<_> = plain.iter().map(key).collect();
+            a.sort_unstable();
+            let b: Vec<_> = indexed.iter().map(key).collect();
+            prop_assert_eq!(a, b, "{:?}", strategy);
+            prop_assert_eq!(ps.pairs_total, is_.pairs_total);
+            // One static plan: the size window skips exactly the pairs the
+            // size stage would prune, so the funnels match stage by stage.
+            prop_assert_eq!(ps.candidates, is_.candidates, "{:?}", strategy);
+            prop_assert_eq!(ps.pruned_stages(), is_.pruned_stages(), "{:?}", strategy);
+        }
     }
 
     #[test]
@@ -186,9 +194,23 @@ proptest! {
         let opt = collect(JoinStrategy::SimJOpt { group_count: 4 });
         prop_assert_eq!(&css, &simj);
         prop_assert_eq!(&simj, &opt);
-        let (par, _) = sim_join_parallel(&t, &d, &u, JoinParams::simj(tau, 0.5), 3);
-        let mut ppairs: Vec<(usize, usize)> = par.iter().map(|x| (x.q_index, x.g_index)).collect();
-        ppairs.sort_unstable();
-        prop_assert_eq!(&ppairs, &css);
+        for strategy in STRATEGIES {
+            let params = JoinParams { strategy, ..JoinParams::simj(tau, 0.5) };
+            let (_, seq) = sim_join(&t, &d, &u, params);
+            let (par, ps) = sim_join_parallel(&t, &d, &u, params, 3);
+            let (_, is_) = uqsj_simjoin::sim_join_indexed(&t, &d, &u, params);
+            let mut ppairs: Vec<(usize, usize)> =
+                par.iter().map(|x| (x.q_index, x.g_index)).collect();
+            ppairs.sort_unstable();
+            prop_assert_eq!(&ppairs, &css, "{:?}", strategy);
+            // The funnel is driver-independent: every driver runs the same
+            // static plan over the same pairs.
+            for (driver, stats) in [("parallel", &ps), ("indexed", &is_)] {
+                prop_assert_eq!(seq.candidates, stats.candidates, "{} {:?}", driver, strategy);
+                prop_assert_eq!(
+                    seq.pruned_stages(), stats.pruned_stages(), "{} {:?}", driver, strategy
+                );
+            }
+        }
     }
 }

@@ -13,9 +13,10 @@
 //! * [`oracle`] — the differential-oracle layer: per generated pair and
 //!   per possible world it checks every lower bound against the exact
 //!   reference GED, the production engine against `ged::reference`, the
-//!   Markov/grouped probability bounds against exact `SimP_τ`, and the
-//!   five join drivers against each other *and* against a brute-force
-//!   membership predicate.
+//!   Markov/grouped probability bounds against exact `SimP_τ`, and six
+//!   join configurations (the three pruning strategies, the parallel and
+//!   indexed drivers, and the forced sampling tier) against a
+//!   brute-force membership predicate.
 //! * [`sample_oracle`] — the Monte-Carlo tier's differential check:
 //!   sampled accept/reject decisions vs. exact enumeration on enumerable
 //!   instances, with the aggregate failure rate held to the sampler's δ

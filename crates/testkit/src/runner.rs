@@ -97,7 +97,7 @@ pub fn run_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
         }
     }
 
-    // Stage 3: five-way join agreement on small workloads, at (τ, α)
+    // Stage 3: six-way join agreement on small workloads, at (τ, α)
     // combinations on both sides of typical pair probabilities.
     let join_rounds = match cfg.profile {
         Profile::Quick => 2,
