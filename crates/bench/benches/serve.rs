@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use uqsj::prelude::*;
-use uqsj::serve::{QaServer, ServeConfig, TemplateStore};
+use uqsj::serve::{ServeConfig, ShardedQaServer};
 use uqsj::template::answer_question;
 use uqsj::workload::qald_like;
 
@@ -17,12 +17,15 @@ fn bench_serve(c: &mut Criterion) {
     let triples = dataset.kb.triple_store();
     let questions: Vec<String> = dataset.pairs.iter().map(|p| p.question.clone()).collect();
 
-    let rebuild_store = || {
-        let mut store = TemplateStore::new();
+    // One shard: the signature index spans the whole library, like the
+    // linear scan it is compared against.
+    let server = |cache_capacity| {
+        let mut copy = TemplateLibrary::new();
         for t in library.templates() {
-            store.insert(t.clone());
+            copy.add(t.clone());
         }
-        store
+        let config = ServeConfig { min_phi: 1.0, cache_capacity, bgp_eval: None };
+        ShardedQaServer::new(copy, lexicon.clone(), dataset.kb.triple_store(), 1, config)
     };
 
     let mut group = c.benchmark_group("serve");
@@ -36,12 +39,7 @@ fn bench_serve(c: &mut Criterion) {
         })
     });
 
-    let uncached = QaServer::new(
-        rebuild_store(),
-        lexicon.clone(),
-        dataset.kb.triple_store(),
-        ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None },
-    );
+    let uncached = server(0);
     group.bench_function("indexed_store", |b| {
         b.iter(|| {
             for q in &questions {
@@ -50,12 +48,7 @@ fn bench_serve(c: &mut Criterion) {
         })
     });
 
-    let cached = QaServer::new(
-        rebuild_store(),
-        lexicon.clone(),
-        dataset.kb.triple_store(),
-        ServeConfig { min_phi: 1.0, cache_capacity: 1024, bgp_eval: None },
-    );
+    let cached = server(1024);
     group.bench_function("indexed_store_cached", |b| {
         b.iter(|| {
             for q in &questions {
@@ -64,12 +57,7 @@ fn bench_serve(c: &mut Criterion) {
         })
     });
 
-    let batch = QaServer::new(
-        rebuild_store(),
-        lexicon.clone(),
-        dataset.kb.triple_store(),
-        ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None },
-    );
+    let batch = server(0);
     group.bench_function("answer_batch_4", |b| {
         b.iter(|| criterion::black_box(batch.answer_batch(&questions, 4)))
     });

@@ -38,40 +38,42 @@
 //!     cardinality planning, or reference, the nested-loop oracle. Both
 //!     return identical answers; only cost changes.
 //!
-//! uqsj-cli serve --dir artifacts [--file questions.txt] [--min-phi F]
-//!                [--threads N] [--cache C] [--bgp-eval lftj|reference]
-//!                [--metrics-out FILE]
-//!                [--stats-interval N] [--log-out FILE|-]
-//!     Serve questions (one per line, from --file or stdin) through the
-//!     signature-indexed template store, then print serving metrics.
-//!     With --data-dir DIR instead of --dir, the server opens a durable
-//!     snapshot+WAL storage directory (recovering state on start).
-//!     --metrics-out writes the server + process registries (Prometheus
-//!     text to FILE, JSON to FILE.json); --stats-interval prints a
-//!     metrics line every N questions; --log-out installs the structured
-//!     JSON log sink (FILE, or - for stderr).
+//! uqsj-cli serve [--dir artifacts | --data-dir DIR] [--shards N] [--replicas R]
+//!                [--min-phi F] [--cache C] [--bgp-eval lftj|reference]
+//!                [--log-out FILE|-]
+//!                [--file questions.txt] [--threads N] [--metrics-out FILE]
+//!                [--stats-interval N]
+//!                [--listen HOST:PORT] [--workers W] [--queue-depth Q]
+//!                [--deadline-ms D]
+//!     Serve the templates from a sharded store (--shards, default 4).
+//!     Without --data-dir the --dir artifacts are served from memory.
+//!     With --data-dir, a directory holding a SHARDS file is recovered
+//!     (replicated snapshot + WAL per shard); an empty or absent one is
+//!     bootstrapped from the --dir artifacts with --replicas replicas
+//!     per shard (default 1); any other non-empty directory is refused.
+//!     --log-out installs the structured JSON log sink (FILE, or - for
+//!     stderr).
 //!
-//! uqsj-cli serve --listen HOST:PORT [--shards N] [--replicas R]
-//!                [--workers W] [--queue-depth Q] [--deadline-ms D]
-//!                [--dir artifacts | --data-dir DIR] [--min-phi F]
-//!                [--cache C]
-//!     Serve over HTTP instead of a question file: a sharded (and, with
-//!     --data-dir, replicated + durable) template store behind the
-//!     uqsj-net front end. With --data-dir, an existing sharded
-//!     directory (holding a SHARDS file) is recovered; an empty or
-//!     absent one is bootstrapped from the --dir artifacts (any other
-//!     layout — e.g. a single-store dir from `snapshot` — is refused
-//!     rather than mixed). Runs until SIGINT/SIGTERM,
-//!     then drains gracefully: stops accepting, finishes in-flight
-//!     requests, fsyncs every shard's replica WALs.
+//!     Without --listen, answers questions (one per line, from --file or
+//!     stdin) and prints one line per question — question, `#N` (the
+//!     template's index in the canonical library: shard libraries
+//!     concatenated in shard order), answers — then serving metrics.
+//!     --threads answers in parallel; --metrics-out writes the server +
+//!     process registries (Prometheus text to FILE, JSON to FILE.json);
+//!     --stats-interval prints a metrics line every N questions.
 //!
-//! uqsj-cli snapshot --dir artifacts --data-dir data
-//!     Import text artifacts into a storage directory as a fresh binary
-//!     snapshot generation.
+//!     With --listen, serves over HTTP through the uqsj-net front end
+//!     until SIGINT/SIGTERM, then drains gracefully: stops accepting,
+//!     finishes in-flight requests, fsyncs every shard's replica WALs.
 //!
-//! uqsj-cli compact --data-dir data
-//!     Recover a storage directory (snapshot + WAL replay) and fold the
-//!     WAL into the next snapshot generation.
+//! uqsj-cli snapshot --dir artifacts --data-dir DIR [--shards N] [--replicas R]
+//!     Import text artifacts into a sharded data directory (default 4
+//!     shards x 1 replica): every replica gets a fresh binary snapshot
+//!     generation, and the SHARDS topology file is written last.
+//!
+//! uqsj-cli compact --data-dir DIR
+//!     Recover a sharded data directory (snapshot + WAL replay per
+//!     replica) and fold every WAL into the next snapshot generation.
 //!
 //! uqsj-cli conformance [--seed S] [--pairs N] [--profile quick|deep]
 //!     Run the differential conformance suite: seeded boundary-biased
@@ -365,83 +367,62 @@ mod shutdown {
     pub fn install() {}
 }
 
-/// `serve --listen`: the HTTP front end over a sharded store.
-fn serve_http(opts: &Options, listen: &str) -> ExitCode {
+/// The server both forms of `serve` run. A `--data-dir` holding a
+/// `SHARDS` file is recovered; an empty or absent one is bootstrapped
+/// from the `--dir` artifacts; any other non-empty directory is refused.
+/// Without `--data-dir`, the artifacts are served from memory.
+fn open_server(opts: &Options, config: ServeConfig) -> Result<ShardedQaServer, ExitCode> {
+    let shards: usize = opts.num("shards", 4);
+    let replicas: usize = opts.num("replicas", 1);
+    let artifacts = || load_artifacts(Path::new(opts.get("dir").unwrap_or("artifacts")));
+    let Some(data_dir) = opts.get("data-dir") else {
+        let (library, lexicon, store) = artifacts()?;
+        return Ok(ShardedQaServer::new(library, lexicon, store, shards, config));
+    };
+    let dir = Path::new(data_dir);
+    if dir.join("SHARDS").exists() {
+        let qa = ShardedQaServer::open(dir, config).map_err(|e| {
+            eprintln!("cannot open sharded data dir {data_dir}: {e}");
+            ExitCode::FAILURE
+        })?;
+        println!(
+            "recovered {} templates from {data_dir} ({} shards x {} replicas)",
+            qa.template_count(),
+            qa.shard_count(),
+            qa.replica_count()
+        );
+        return Ok(qa);
+    }
+    // Only bootstrap into a fresh directory: scattering shard
+    // subdirectories into some other layout would leave two stores
+    // diverging in one place.
+    let occupied =
+        std::fs::read_dir(dir).map(|mut entries| entries.next().is_some()).unwrap_or(false);
+    if occupied {
+        eprintln!(
+            "{data_dir} exists but is not a sharded data dir (no SHARDS file); point \
+             --data-dir at a fresh directory to shard the --dir artifacts into"
+        );
+        return Err(ExitCode::FAILURE);
+    }
+    let (library, lexicon, store) = artifacts()?;
+    let qa = ShardedQaServer::create(dir, library, lexicon, store, shards, replicas, config)
+        .map_err(|e| {
+            eprintln!("cannot bootstrap sharded data dir {data_dir}: {e}");
+            ExitCode::FAILURE
+        })?;
+    println!(
+        "bootstrapped {data_dir}: {} templates over {shards} shards x {replicas} replicas",
+        qa.template_count()
+    );
+    Ok(qa)
+}
+
+/// `serve --listen`: the HTTP front end.
+fn serve_http(opts: &Options, listen: &str, qa: ShardedQaServer) -> ExitCode {
     use std::sync::Arc;
     use std::time::Duration;
     use uqsj::net::NetConfig;
-    use uqsj::serve::{ServeConfig, ShardedQaServer};
-
-    let config = ServeConfig {
-        min_phi: opts.num("min-phi", 1.0),
-        cache_capacity: opts.num("cache", 1024),
-        bgp_eval: bgp_eval(opts),
-    };
-    let shards: usize = opts.num("shards", 4);
-    let replicas: usize = opts.num("replicas", 1);
-    let qa = if let Some(data_dir) = opts.get("data-dir") {
-        let dir = Path::new(data_dir);
-        if dir.join("SHARDS").exists() {
-            match ShardedQaServer::open(dir, config) {
-                Ok(qa) => {
-                    println!(
-                        "recovered {} templates from {data_dir} \
-                         ({} shards x {} replicas)",
-                        qa.template_count(),
-                        qa.shard_count(),
-                        qa.replica_count()
-                    );
-                    qa
-                }
-                Err(e) => {
-                    eprintln!("cannot open sharded data dir {data_dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            // Only bootstrap into a fresh directory. A non-empty one
-            // without SHARDS is some other layout — most likely a
-            // single-store data dir from `snapshot` — and scattering
-            // shard subdirectories into it would leave two stores
-            // diverging in one place.
-            let occupied =
-                std::fs::read_dir(dir).map(|mut entries| entries.next().is_some()).unwrap_or(false);
-            if occupied {
-                eprintln!(
-                    "{data_dir} exists but is not a sharded data dir (no SHARDS file); \
-                     if it came from `uqsj-cli snapshot`, serve it without --listen, or \
-                     point --data-dir at a fresh directory to shard the --dir artifacts into"
-                );
-                return ExitCode::FAILURE;
-            }
-            let artifacts = PathBuf::from(opts.get("dir").unwrap_or("artifacts"));
-            let (library, lexicon, store) = match load_artifacts(&artifacts) {
-                Ok(x) => x,
-                Err(code) => return code,
-            };
-            match ShardedQaServer::create(dir, library, lexicon, store, shards, replicas, config) {
-                Ok(qa) => {
-                    println!(
-                        "bootstrapped {data_dir}: {} templates over {shards} shards x \
-                         {replicas} replicas",
-                        qa.template_count()
-                    );
-                    qa
-                }
-                Err(e) => {
-                    eprintln!("cannot bootstrap sharded data dir {data_dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    } else {
-        let artifacts = PathBuf::from(opts.get("dir").unwrap_or("artifacts"));
-        let (library, lexicon, store) = match load_artifacts(&artifacts) {
-            Ok(x) => x,
-            Err(code) => return code,
-        };
-        ShardedQaServer::new(library, lexicon, store, shards, config)
-    };
 
     let net = NetConfig {
         workers: opts.num("workers", 4),
@@ -482,18 +463,14 @@ fn serve_http(opts: &Options, listen: &str) -> ExitCode {
 }
 
 fn serve(opts: &Options) -> ExitCode {
-    use uqsj::serve::{QaServer, ServeConfig, TemplateStore};
-
-    if let Some(listen) = opts.get("listen") {
-        return serve_http(opts, listen);
-    }
     let config = ServeConfig {
         min_phi: opts.num("min-phi", 1.0),
         cache_capacity: opts.num("cache", 1024),
         bgp_eval: bgp_eval(opts),
     };
+    let listen = opts.get("listen");
     let threads: usize = opts.num("threads", 1);
-    if threads == 0 {
+    if listen.is_none() && threads == 0 {
         eprintln!("--threads must be >= 1");
         return ExitCode::FAILURE;
     }
@@ -502,29 +479,13 @@ fn serve(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let server = if let Some(data_dir) = opts.get("data-dir") {
-        match QaServer::open(Path::new(data_dir), config) {
-            Ok(server) => {
-                println!(
-                    "recovered {} templates from {data_dir} (generation {})",
-                    server.template_count(),
-                    server.storage_generation().unwrap_or(0)
-                );
-                server
-            }
-            Err(e) => {
-                eprintln!("cannot open data dir {data_dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let dir = PathBuf::from(opts.get("dir").unwrap_or("artifacts"));
-        let (library, lexicon, store) = match load_artifacts(&dir) {
-            Ok(x) => x,
-            Err(code) => return code,
-        };
-        QaServer::new(TemplateStore::from_library(library), lexicon, store, config)
+    let server = match open_server(opts, config) {
+        Ok(server) => server,
+        Err(code) => return code,
     };
+    if let Some(listen) = listen {
+        return serve_http(opts, listen, server);
+    }
     println!("serving {} templates (min-phi {})", server.template_count(), config.min_phi);
 
     let questions: Vec<String> = match opts.get("file") {
@@ -557,20 +518,28 @@ fn serve(opts: &Options) -> ExitCode {
     // they accumulate (0 = only the final line).
     let stats_interval: usize = opts.num("stats-interval", 0);
     let chunk = if stats_interval == 0 { questions.len() } else { stats_interval };
-    let mut outcomes = Vec::with_capacity(questions.len());
+    let mut answers = Vec::with_capacity(questions.len());
     for slice in questions.chunks(chunk) {
-        outcomes.extend(server.answer_batch(slice, threads));
+        answers.extend(server.answer_batch(slice, threads));
         if stats_interval != 0 {
-            println!("[stats after {}] {}", outcomes.len(), server.metrics());
+            println!("[stats after {}] {}", answers.len(), server.metrics());
         }
     }
-    for (q, out) in questions.iter().zip(&outcomes) {
+    // `#N` is the chosen template's index in the canonical library (the
+    // shard libraries concatenated in shard order), so it names one
+    // template whatever shard answered.
+    let offsets: Vec<usize> = server
+        .shard_template_counts()
+        .iter()
+        .scan(0, |next, &count| Some(std::mem::replace(next, *next + count)))
+        .collect();
+    for (q, answered) in questions.iter().zip(&answers) {
+        let out = &answered.outcome;
+        let index = answered.shard.map_or(0, |s| offsets[s] + out.template_index.unwrap_or(0));
         match (&out.sparql, out.answers.is_empty()) {
             (None, _) => println!("{q}\t-\t(no template matched)"),
-            (Some(_), true) => println!("{q}\t#{}\t(no answers)", out.template_index.unwrap_or(0)),
-            (Some(_), false) => {
-                println!("{q}\t#{}\t{}", out.template_index.unwrap_or(0), out.answers.join("|"));
-            }
+            (Some(_), true) => println!("{q}\t#{index}\t(no answers)"),
+            (Some(_), false) => println!("{q}\t#{index}\t{}", out.answers.join("|")),
         }
     }
     println!("{}", server.metrics());
@@ -601,11 +570,9 @@ fn serve(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Import the text artifacts of a `generate` run into a storage data
-/// directory as a fresh binary snapshot generation.
+/// Import the text artifacts of a `generate` run into a fresh sharded
+/// data directory (`--shards`, default 4; `--replicas`, default 1).
 fn snapshot(opts: &Options) -> ExitCode {
-    use uqsj::storage::StorageEngine;
-
     let dir = PathBuf::from(opts.get("dir").unwrap_or("artifacts"));
     let Some(data_dir) = opts.get("data-dir") else {
         eprintln!("snapshot requires --data-dir DIR");
@@ -615,19 +582,24 @@ fn snapshot(opts: &Options) -> ExitCode {
         Ok(x) => x,
         Err(code) => return code,
     };
-    let (mut engine, _) = match StorageEngine::open(Path::new(data_dir)) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("cannot open data dir {data_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match engine.compact(&library, &lexicon, &store) {
-        Ok(generation) => {
+    let triples = store.len();
+    let (shards, replicas) = (opts.num("shards", 4), opts.num("replicas", 1));
+    let config = ServeConfig::default();
+    match ShardedQaServer::create(
+        Path::new(data_dir),
+        library,
+        lexicon,
+        store,
+        shards,
+        replicas,
+        config,
+    ) {
+        Ok(qa) => {
             println!(
-                "wrote snapshot generation {generation} to {data_dir}: {} templates, {} triples",
-                library.len(),
-                store.len()
+                "wrote {data_dir}: {} templates over {} shards x {} replicas, {triples} triples",
+                qa.template_count(),
+                qa.shard_count(),
+                qa.replica_count()
             );
             ExitCode::SUCCESS
         }
@@ -638,32 +610,26 @@ fn snapshot(opts: &Options) -> ExitCode {
     }
 }
 
-/// Recover a storage directory and fold its WAL into the next snapshot
-/// generation.
+/// Recover a sharded data directory and fold every replica's WAL into
+/// the next snapshot generation.
 fn compact(opts: &Options) -> ExitCode {
-    use uqsj::storage::StorageEngine;
-
     let Some(data_dir) = opts.get("data-dir") else {
         eprintln!("compact requires --data-dir DIR");
         return ExitCode::FAILURE;
     };
-    let (mut engine, recovered) = match StorageEngine::open(Path::new(data_dir)) {
-        Ok(x) => x,
+    let qa = match ShardedQaServer::open(Path::new(data_dir), ServeConfig::default()) {
+        Ok(qa) => qa,
         Err(e) => {
-            eprintln!("cannot open data dir {data_dir}: {e}");
+            eprintln!("cannot open sharded data dir {data_dir}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let state = recovered.state;
-    if recovered.wal_torn_bytes > 0 {
-        println!("dropped {} bytes of torn WAL tail", recovered.wal_torn_bytes);
-    }
-    match engine.compact(&state.library, &state.lexicon, &state.triples) {
-        Ok(generation) => {
+    match qa.compact() {
+        Ok(generations) => {
             println!(
-                "folded {} WAL records into snapshot generation {generation} ({} templates)",
-                recovered.wal_records,
-                state.library.len()
+                "compacted {data_dir}: {} templates over {} shards, generations {generations:?}",
+                qa.template_count(),
+                qa.shard_count()
             );
             ExitCode::SUCCESS
         }

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::graph::{Graph, GraphBuilder, Symbol, SymbolTable, UncertainGraph, VertexId};
     pub use crate::pipeline::{generate_templates, PipelineResult};
     pub use crate::sample::{SimpMode, SimpPolicy};
-    pub use crate::serve::{Ingestor, QaServer, ServeConfig, TemplateStore};
+    pub use crate::serve::{Ingestor, ServeConfig, ShardedQaServer, TemplateStore};
     pub use crate::simjoin::{sim_join, JoinMatch, JoinParams, JoinStats, JoinStrategy};
     pub use crate::template::{answer_question, Template, TemplateLibrary};
     pub use crate::uncertain::{similarity_probability, ub_simp, verify_simp};

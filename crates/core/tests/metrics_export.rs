@@ -85,11 +85,13 @@ fn registry_deltas_match_join_stats() {
     // --- more instrumented work: pipeline + durable serve round-trip ---
     let result = uqsj::pipeline::generate_templates(&dataset, JoinParams::simj(1, 0.5));
     let dir = scratch_dir();
-    let server = QaServer::create(
+    let server = ShardedQaServer::create(
         &dir,
-        TemplateStore::from_library(result.library),
+        result.library,
         dataset.kb.lexicon.clone(),
         dataset.kb.triple_store(),
+        1,
+        1,
         Default::default(),
     )
     .expect("create durable server");

@@ -193,8 +193,8 @@ fn answer(qa: &ShardedQaServer, metrics: &NetMetrics, body: &[u8], deadline: Ins
                 None => return Response::error(400, "threads must be a non-negative integer"),
             },
         };
-        let outcomes = qa.answer_batch(&questions, threads);
-        let results: Value = outcomes.iter().map(|o| outcome_json(o, None, None)).collect();
+        let answers = qa.answer_batch(&questions, threads);
+        let results: Value = answers.iter().map(|a| outcome_json(&a.outcome, None, None)).collect();
         return Response::json(200, object([("results", results)]).render());
     }
     Response::error(400, "body needs a \"question\" string or \"questions\" array")

@@ -6,21 +6,26 @@
 //! - [`TemplateStore`]: signature index over templates (token-count window
 //!   and label-multiset bounds) so each question is verified against a
 //!   pruned candidate set instead of the whole library.
-//! - [`QaServer`]: thread-safe façade adding a bounded LRU answer cache,
-//!   a `crossbeam`-scoped `answer_batch`, and latency/candidate metrics.
+//! - [`ShardedQaServer`]: the one serving core — the library partitioned
+//!   into shards by NL-pattern hash, a bounded LRU answer cache, a
+//!   `crossbeam`-scoped `answer_batch`, EXPLAIN reports, and
+//!   latency/candidate metrics. Answers equal the linear scan
+//!   `uqsj_template::answer_question` over the shard libraries
+//!   concatenated in shard order.
 //! - [`Ingestor`]: incremental SimJ of a newly arrived question against the
 //!   existing `D` side via `JoinIndex` — no full re-join — feeding freshly
 //!   mined templates back into the live store.
-//! - Durability (via `uqsj-storage`): [`QaServer::open`] recovers a
-//!   snapshot + WAL data directory; `insert_templates` journals accepted
-//!   templates before applying them; [`QaServer::compact`] folds the WAL
-//!   into a fresh snapshot generation.
+//! - Durability (via `uqsj-storage`): [`ShardedQaServer::create`] writes a
+//!   sharded, replicated data directory; [`ShardedQaServer::open`]
+//!   recovers it (snapshot + WAL replay per replica); `insert_templates`
+//!   journals accepted templates before applying them;
+//!   [`ShardedQaServer::compact`] folds every WAL into a fresh snapshot
+//!   generation.
 
 pub mod cache;
 pub mod ingest;
 pub mod metrics;
 pub mod report;
-pub mod server;
 pub mod shard;
 pub mod store;
 
@@ -28,6 +33,5 @@ pub use cache::AnswerCache;
 pub use ingest::{IngestError, IngestOutcome, Ingestor};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use report::{JoinReport, QueryReport, SlowLog, StageReport};
-pub use server::{QaServer, ServeConfig};
-pub use shard::{shard_of_tokens, ShardedAnswer, ShardedQaServer};
-pub use store::{StoreAnswer, TemplateStore};
+pub use shard::{shard_of_tokens, ServeConfig, ShardedAnswer, ShardedQaServer};
+pub use store::TemplateStore;

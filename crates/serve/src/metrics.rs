@@ -3,7 +3,7 @@
 //!
 //! Backed by a **per-instance** [`uqsj_obs::Registry`] rather than the
 //! process-global one: each [`ServeMetrics`] (and therefore each
-//! [`crate::QaServer`]) owns its counters, so parallel tests and
+//! [`crate::ShardedQaServer`]) owns its counters, so parallel tests and
 //! side-by-side servers never contaminate each other, while still getting
 //! the registry's Prometheus/JSON exposition for free via
 //! [`ServeMetrics::registry`]. The latency histogram is the same

@@ -38,19 +38,19 @@
 //!
 //! **Recovery** opens every replica of a shard, adopts the replica with
 //! the most templates (a crash can leave late replicas one append
-//! behind), moves any replica that fails to open (bit-flipped snapshot,
-//! permission error) aside to a `replica-RR.quarantine-N` sibling and
-//! re-initializes it, then compacts all replicas to a fresh common
-//! generation — after which every replica of the shard is
-//! byte-equivalent again. A shard none of whose replicas opens is an
-//! error, never an empty shard. Per shard, the adopted state is always
-//! the replay of one surviving WAL over its snapshot, exactly like the
-//! single-store engine.
+//! behind), re-initializes any replica that fails to open (bit-flipped
+//! snapshot, permission error — moved aside to a
+//! `replica-RR.quarantine-N` sibling first — or a deleted directory),
+//! then compacts all replicas to a fresh common generation — after which
+//! every replica of the shard is byte-equivalent again. A shard none of
+//! whose replicas opens is an error, never an empty shard, and recovery
+//! creates no directory for it. Per shard, the adopted state is always
+//! the replay of one surviving WAL over its snapshot, exactly as
+//! `uqsj_storage::StorageEngine::open` recovers it.
 
 use crate::cache::{normalize_question, AnswerCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::report::{QueryReport, SlowLog, StageReport};
-use crate::server::ServeConfig;
 use crate::store::TemplateStore;
 use parking_lot::{Mutex, RwLock};
 use std::fs::File;
@@ -72,6 +72,24 @@ const SLOW_LOG_CAPACITY: usize = 32;
 
 /// Name of the shard-topology file under a sharded data directory.
 const SHARDS_FILE: &str = "SHARDS";
+
+/// Serving knobs.
+#[derive(Clone, Copy, Debug)]
+pub struct ServeConfig {
+    /// Minimum matching proportion φ (Table 5's knob; 1.0 = full matches).
+    pub min_phi: f64,
+    /// Answer-cache capacity; 0 disables caching.
+    pub cache_capacity: usize,
+    /// Which BGP evaluator answers SPARQL retrieval for this server;
+    /// `None` follows the process default (normally the leapfrog join).
+    pub bgp_eval: Option<uqsj_rdf::BgpEval>,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        Self { min_phi: 1.0, cache_capacity: 1024, bgp_eval: None }
+    }
+}
 
 /// Stable FNV-1a hash of a template's NL pattern — the shard routing key.
 /// Independent of process, platform, and `HashMap` seeding, so a data
@@ -309,9 +327,10 @@ impl ShardedQaServer {
     }
 
     /// Recover a sharded data directory: per shard, open every replica,
-    /// adopt the most advanced one, quarantine and re-initialize
-    /// unreadable replicas, and compact all replicas to a common fresh
-    /// generation. Fails if every replica of some shard is unreadable.
+    /// adopt the most advanced one, re-initialize unreadable (quarantined)
+    /// or missing replicas, and compact all replicas to a common fresh
+    /// generation. Fails if no replica of some shard holds a committed
+    /// generation.
     /// The lexicon and RDF store are taken from shard 0 (every replica
     /// snapshot carries a full copy, so each shard directory is
     /// self-contained).
@@ -321,43 +340,48 @@ impl ShardedQaServer {
         let mut engines = Vec::with_capacity(shards);
         let mut shared: Option<(Arc<Lexicon>, Arc<TripleStore>)> = None;
         for si in 0..shards {
-            let attempts: Vec<_> = (0..replicas)
-                .map(|ri| StorageEngine::open(&replica_dir(data_dir, si, ri)))
+            let mut attempts: Vec<_> = (0..replicas)
+                .map(|ri| StorageEngine::open_existing(&replica_dir(data_dir, si, ri)))
                 .collect();
-            if attempts.iter().all(Result::is_err) {
+            // Adopt the readable replica holding the most templates: a
+            // crash between replica appends leaves later replicas at most
+            // one batch behind the first.
+            let best = attempts
+                .iter()
+                .enumerate()
+                .filter_map(|(ri, a)| a.as_ref().ok().map(|(_, r)| (r.state.library.len(), ri)))
+                .max_by_key(|&(templates, ri)| (templates, usize::MAX - ri))
+                .map(|(_, ri)| ri);
+            let Some(best) = best else {
                 // No replica holds this shard's state: refuse to start
                 // rather than serve it empty, and leave every replica in
                 // place for the operator.
                 let err = attempts.into_iter().find_map(Result::err).expect("replicas >= 1");
                 return Err(err);
-            }
-            let mut opened: Vec<(StorageEngine, uqsj_storage::RecoveredState)> =
-                Vec::with_capacity(replicas);
+            };
+            let state = attempts[best]
+                .as_mut()
+                .map(|(_, recovered)| std::mem::take(&mut recovered.state))
+                .expect("the adopted replica opened");
+            let mut opened = Vec::with_capacity(replicas);
             for (ri, attempt) in attempts.into_iter().enumerate() {
-                let replica = match attempt {
-                    Ok(replica) => replica,
+                let engine = match attempt {
+                    Ok((engine, _)) => engine,
                     Err(_) => {
-                        // A replica that cannot open (corrupt snapshot,
-                        // torn header, permission error) is moved aside
-                        // and re-initialized empty; the convergence
+                        // A replica that cannot open (deleted directory,
+                        // corrupt snapshot, torn header, permission
+                        // error) is moved aside if present and
+                        // re-initialized empty; the convergence
                         // compaction below catches it up.
                         let dir = replica_dir(data_dir, si, ri);
-                        quarantine(&dir)?;
-                        StorageEngine::open(&dir)?
+                        if dir.exists() {
+                            quarantine(&dir)?;
+                        }
+                        StorageEngine::open(&dir)?.0
                     }
                 };
-                opened.push(replica);
+                opened.push(engine);
             }
-            // Adopt the replica holding the most templates: a crash
-            // between replica appends leaves later replicas at most one
-            // batch behind the first.
-            let best = opened
-                .iter()
-                .enumerate()
-                .max_by_key(|(ri, (_, r))| (r.state.library.len(), usize::MAX - ri))
-                .map(|(ri, _)| ri)
-                .expect("replicas >= 1");
-            let state = std::mem::take(&mut opened[best].1.state);
             let library = state.library;
             if shared.is_none() {
                 // Every replica snapshot carries the full lexicon + RDF
@@ -368,15 +392,14 @@ impl ShardedQaServer {
             let (lexicon, triples) = shared.as_ref().expect("set above");
             // Converge every replica on the adopted state.
             let mut shard_engines = Vec::with_capacity(replicas);
-            for (mut engine, _) in opened {
+            for mut engine in opened {
                 engine.compact(&library, lexicon, triples)?;
                 shard_engines.push(engine);
             }
             stores.push(TemplateStore::from_library(library));
             engines.push(shard_engines);
         }
-        let (lexicon, triples) =
-            shared.unwrap_or_else(|| (Arc::new(Lexicon::default()), Arc::new(TripleStore::new())));
+        let (lexicon, triples) = shared.expect("topology has at least one shard");
         Ok(Self::build(stores, engines, lexicon, triples, config, replicas))
     }
 
@@ -418,6 +441,10 @@ impl ShardedQaServer {
             }
             cache.generation()
         };
+        // Per-server evaluator choice rides a thread-local scope so batch
+        // workers and co-located servers with different configs don't
+        // fight over a process global.
+        let _eval = self.config.bgp_eval.map(uqsj_rdf::bgp::scoped);
         let filter_started = Instant::now();
         let tokens = tokenize(question);
         let sig = NlSignature::of_tokens(&tokens);
@@ -506,17 +533,22 @@ impl ShardedQaServer {
         (ShardedAnswer { outcome: multi.outcome, shard: multi.library, shards_touched }, report)
     }
 
-    /// Answer a batch across worker threads; same contract as
-    /// [`crate::QaServer::answer_batch`] (the hint is clamped to
-    /// `1..=questions.len()`), with each answer routed through the
-    /// sharded path.
-    pub fn answer_batch(&self, questions: &[String], threads: usize) -> Vec<QaOutcome> {
+    /// Answer a batch across worker threads. Output order matches input
+    /// order; each worker takes a contiguous chunk, like the parallel join
+    /// driver partitions the uncertain side.
+    ///
+    /// # Contract
+    /// `threads` is a *hint*: it is clamped to `1..=questions.len()`
+    /// (never below one worker, never more workers than questions), so
+    /// `threads == 0`, oversized thread counts, and empty batches are all
+    /// well-defined and never spawn an idle scoped worker.
+    pub fn answer_batch(&self, questions: &[String], threads: usize) -> Vec<ShardedAnswer> {
         let threads = threads.max(1).min(questions.len().max(1));
         if threads == 1 || questions.len() <= 1 {
-            return questions.iter().map(|q| self.answer(q).outcome).collect();
+            return questions.iter().map(|q| self.answer(q)).collect();
         }
         let chunk = questions.len().div_ceil(threads);
-        let slots: Vec<Mutex<Vec<QaOutcome>>> =
+        let slots: Vec<Mutex<Vec<ShardedAnswer>>> =
             questions.chunks(chunk).map(|_| Mutex::new(Vec::new())).collect();
         // Re-install the caller's request context on each worker: the
         // batch's trace id (and EXPLAIN/deadline flags) must follow the
@@ -527,9 +559,7 @@ impl ShardedQaServer {
                 let slot = &slots[ci];
                 scope.spawn(move |_| {
                     let _ctx = ctx.map(uqsj_obs::ctx::install);
-                    let outcomes: Vec<QaOutcome> =
-                        slice.iter().map(|q| self.answer(q).outcome).collect();
-                    *slot.lock() = outcomes;
+                    *slot.lock() = slice.iter().map(|q| self.answer(q)).collect();
                 });
             }
         })

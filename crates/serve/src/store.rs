@@ -5,11 +5,7 @@
 //! `uqsj_simjoin::JoinIndex` on the join side.
 
 use uqsj_nlp::signature::NlSignature;
-use uqsj_nlp::token::tokenize;
-use uqsj_nlp::Lexicon;
-use uqsj_rdf::TripleStore;
-use uqsj_template::qa::answer_with_candidates;
-use uqsj_template::{AnswerStats, QaOutcome, Template, TemplateLibrary};
+use uqsj_template::{Template, TemplateLibrary};
 
 /// A template library with a signature index over its NL patterns.
 #[derive(Debug, Default)]
@@ -22,20 +18,6 @@ pub struct TemplateStore {
     /// most `n` tokens (every non-slot token consumes one question token,
     /// every slot at least one).
     by_len: Vec<(u32, u32)>,
-}
-
-/// The outcome of answering one question through the store, with the
-/// filter effectiveness the metrics layer aggregates.
-#[derive(Clone, Debug)]
-pub struct StoreAnswer {
-    /// The Q/A outcome — identical to what the linear scan would return.
-    pub outcome: QaOutcome,
-    /// Verification counters from the ranking core.
-    pub stats: AnswerStats,
-    /// Templates that survived the signature filter.
-    pub candidates: usize,
-    /// Library size at answer time (the linear scan's denominator).
-    pub library_size: usize,
 }
 
 impl TemplateStore {
@@ -98,7 +80,7 @@ impl TemplateStore {
     /// signature `question`, given the serving `min_phi`. Admissible: any
     /// template pruned here can neither fully align (window + multiset
     /// containment fail) nor reach a partial φ of `min_phi` (upper bound
-    /// below threshold), so [`answer_with_candidates`] over this set
+    /// below threshold), so [`uqsj_template::answer_across`] over this set
     /// returns exactly what the full scan would.
     pub fn candidates(&self, question: &NlSignature, min_phi: f64) -> Vec<usize> {
         if min_phi >= 1.0 {
@@ -124,29 +106,12 @@ impl TemplateStore {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Answer a question through the signature filter. Equivalent to
-    /// `uqsj_template::answer_question` on the same library.
-    pub fn answer(
-        &self,
-        lexicon: &Lexicon,
-        triples: &TripleStore,
-        question: &str,
-        min_phi: f64,
-    ) -> StoreAnswer {
-        let tokens = tokenize(question);
-        let sig = NlSignature::of_tokens(&tokens);
-        let candidates = self.candidates(&sig, min_phi);
-        let n_candidates = candidates.len();
-        let (outcome, stats) =
-            answer_with_candidates(&self.library, candidates, lexicon, triples, question, min_phi);
-        StoreAnswer { outcome, stats, candidates: n_candidates, library_size: self.len() }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uqsj_nlp::token::tokenize;
     use uqsj_sparql::{SparqlQuery, Term, Triple};
     use uqsj_template::template::{slot_term, SlotBinding};
 

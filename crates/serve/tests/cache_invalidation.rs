@@ -3,10 +3,10 @@
 //! an ingest that adds a better-matching template — the fresh answer wins
 //! on the very next question.
 
-use uqsj_serve::{QaServer, ServeConfig, TemplateStore};
+use uqsj_serve::{ServeConfig, ShardedQaServer};
 use uqsj_sparql::{SparqlQuery, Term, Triple};
 use uqsj_template::template::{slot_term, SlotBinding};
-use uqsj_template::Template;
+use uqsj_template::{Template, TemplateLibrary};
 
 const SLOT: &str = "<_>";
 
@@ -37,23 +37,19 @@ fn graduated_template(predicate: &str, confidence: f64) -> Template {
     )
 }
 
-fn server() -> QaServer {
+fn server() -> ShardedQaServer {
     let mut lexicon = uqsj_nlp::lexicon::paper_lexicon();
     lexicon.add_class("physicist", "Physicist");
     let mut triples = uqsj_rdf::TripleStore::new();
     triples.insert("Alice", "type", "Physicist");
     triples.insert("Alice", "graduatedFrom", "Carnegie_Mellon_University");
     triples.ensure_indexes();
-    let mut store = TemplateStore::new();
+    let mut library = TemplateLibrary::new();
     // The weak seed template queries a predicate the KB never uses, so it
     // "answers" with an empty result set (the fallback instantiation).
-    store.insert(graduated_template("wrongPredicate", 0.5));
-    QaServer::new(
-        store,
-        lexicon,
-        triples,
-        ServeConfig { min_phi: 1.0, cache_capacity: 16, bgp_eval: None },
-    )
+    library.add(graduated_template("wrongPredicate", 0.5));
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 16, bgp_eval: None };
+    ShardedQaServer::new(library, lexicon, triples, 1, config)
 }
 
 #[test]
@@ -62,7 +58,7 @@ fn ingest_invalidates_cached_answers() {
     let question = "Which physicist graduated from CMU?";
 
     // Pre-ingest: the weak template matches but finds nothing.
-    let stale = qa.answer(question);
+    let stale = qa.answer(question).outcome;
     assert!(stale.answers.is_empty(), "seed template must not answer");
     // The empty outcome is cached now.
     qa.answer(question);
@@ -76,7 +72,7 @@ fn ingest_invalidates_cached_answers() {
 
     // Post-ingest: the cached stale outcome must be gone — the fresh
     // template answers.
-    let fresh = qa.answer(question);
+    let fresh = qa.answer(question).outcome;
     assert_eq!(fresh.answers, vec!["Alice".to_string()], "fresh answer must win after ingest");
 }
 
@@ -91,7 +87,7 @@ fn answer_batch_clamps_thread_hint() {
     assert_eq!(a.len(), 2);
     assert_eq!(b.len(), 2);
     for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.answers, y.answers);
+        assert_eq!(x.outcome.answers, y.outcome.answers);
     }
     // Empty batches spawn nothing and return nothing.
     assert!(qa.answer_batch(&[], 8).is_empty());

@@ -4,51 +4,14 @@
 //! or the complete post-ingest library — never a torn state where only
 //! some of the batch's shards are visible.
 
+mod common;
+
+use common::{batch_library, clone_library, same_outcome};
 use std::sync::atomic::{AtomicBool, Ordering};
 use uqsj_serve::{ServeConfig, ShardedQaServer};
-use uqsj_simjoin::{sim_join, JoinParams};
-use uqsj_template::{
-    answer_question, generate_template, QaOutcome, TemplateLibrary, TemplateSource,
-};
+use uqsj_simjoin::JoinParams;
+use uqsj_template::{answer_question, QaOutcome};
 use uqsj_testkit::gen::qa_dataset;
-use uqsj_workload::Dataset;
-
-fn batch_library(dataset: &Dataset, n: usize, params: JoinParams) -> TemplateLibrary {
-    let (matches, _) = sim_join(
-        &dataset.table,
-        &dataset.d_graphs,
-        &dataset.u_graphs[..n.min(dataset.u_graphs.len())],
-        params,
-    );
-    let mut library = TemplateLibrary::new();
-    for m in &matches {
-        let source = TemplateSource {
-            analysis: &dataset.analyses[m.g_index],
-            query: &dataset.d_queries[m.q_index],
-            query_terms: &dataset.d_terms[m.q_index],
-            mapping: &m.mapping,
-            confidence: m.prob,
-        };
-        if let Some(t) = generate_template(&source) {
-            library.add(t);
-        }
-    }
-    library
-}
-
-fn clone_library(library: &TemplateLibrary) -> TemplateLibrary {
-    let mut clone = TemplateLibrary::new();
-    for t in library.templates() {
-        clone.add(t.clone());
-    }
-    clone
-}
-
-fn same_outcome(a: &QaOutcome, b: &QaOutcome) -> bool {
-    a.sparql.as_ref().map(ToString::to_string) == b.sparql.as_ref().map(ToString::to_string)
-        && a.answers == b.answers
-        && (a.phi - b.phi).abs() < 1e-12
-}
 
 #[test]
 fn racing_answers_see_pre_or_post_ingest_library_never_torn() {
@@ -136,7 +99,7 @@ fn racing_answers_see_pre_or_post_ingest_library_never_torn() {
                         } else {
                             for (qi, o) in server.answer_batch(questions, 3).into_iter().enumerate()
                             {
-                                seen.push((qi, o));
+                                seen.push((qi, o.outcome));
                             }
                         }
                         round += 1;

@@ -2,61 +2,17 @@
 //! on the *testkit*'s seeded Q/A dataset, so the serving checks replay
 //! from the same seed discipline as the rest of the conformance suite.
 
-use std::path::PathBuf;
-use uqsj_serve::{Ingestor, QaServer, ServeConfig, TemplateStore};
-use uqsj_simjoin::{sim_join, JoinParams};
-use uqsj_template::{generate_template, QaOutcome, TemplateLibrary, TemplateSource};
+mod common;
+
+use common::{assert_same_outcome, batch_library, clone_library, scratch_dir};
+use uqsj_serve::{Ingestor, ServeConfig, ShardedQaServer};
+use uqsj_simjoin::JoinParams;
 use uqsj_testkit::gen::qa_dataset;
-use uqsj_workload::Dataset;
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uqsj-conf-serve-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn batch_library(dataset: &Dataset, n: usize, params: JoinParams) -> TemplateLibrary {
-    let (matches, _) = sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs[..n], params);
-    let mut library = TemplateLibrary::new();
-    for m in &matches {
-        let source = TemplateSource {
-            analysis: &dataset.analyses[m.g_index],
-            query: &dataset.d_queries[m.q_index],
-            query_terms: &dataset.d_terms[m.q_index],
-            mapping: &m.mapping,
-            confidence: m.prob,
-        };
-        if let Some(t) = generate_template(&source) {
-            library.add(t);
-        }
-    }
-    library
-}
-
-fn store_of(library: &TemplateLibrary) -> TemplateStore {
-    let mut clone = TemplateLibrary::new();
-    for t in library.templates() {
-        clone.add(t.clone());
-    }
-    TemplateStore::from_library(clone)
-}
-
-fn assert_same_outcome(got: &QaOutcome, want: &QaOutcome, context: &str) {
-    assert_eq!(
-        got.sparql.as_ref().map(ToString::to_string),
-        want.sparql.as_ref().map(ToString::to_string),
-        "sparql diverged: {context}"
-    );
-    assert_eq!(got.answers, want.answers, "answers diverged: {context}");
-    assert_eq!(got.template_index, want.template_index, "template diverged: {context}");
-    assert!((got.phi - want.phi).abs() < 1e-12, "phi diverged: {context}");
-}
 
 /// Restart + compaction equivalence on the conformance dataset: an
 /// in-memory baseline, a durable server that restarts, and a durable
 /// server that compacts mid-stream must answer every replayed question
-/// identically.
+/// identically. One shard, so local template indexes are global ones.
 #[test]
 fn restart_and_compaction_preserve_answers_on_testkit_dataset() {
     let dataset = qa_dataset(4242, 40, 25);
@@ -67,26 +23,24 @@ fn restart_and_compaction_preserve_answers_on_testkit_dataset() {
     let lexicon = dataset.kb.lexicon.clone();
     let config = ServeConfig { min_phi: 1.0, cache_capacity: 64, bgp_eval: None };
 
+    let triples = || dataset.kb.triple_store();
     let baseline =
-        QaServer::new(store_of(&library), lexicon.clone(), dataset.kb.triple_store(), config);
+        ShardedQaServer::new(clone_library(&library), lexicon.clone(), triples(), 1, config);
     let restart_dir = scratch_dir("restart");
     let compact_dir = scratch_dir("compact");
-    let durable = QaServer::create(
-        &restart_dir,
-        store_of(&library),
-        lexicon.clone(),
-        dataset.kb.triple_store(),
-        config,
-    )
-    .expect("bootstrap restart dir");
-    let compacting = QaServer::create(
-        &compact_dir,
-        store_of(&library),
-        lexicon.clone(),
-        dataset.kb.triple_store(),
-        config,
-    )
-    .expect("bootstrap compact dir");
+    let create = |dir| {
+        ShardedQaServer::create(
+            dir,
+            clone_library(&library),
+            lexicon.clone(),
+            triples(),
+            1,
+            1,
+            config,
+        )
+    };
+    let durable = create(&restart_dir).expect("bootstrap restart dir");
+    let compacting = create(&compact_dir).expect("bootstrap compact dir");
 
     let mut ingestor = Ingestor::new(
         dataset.table.clone(),
@@ -119,12 +73,15 @@ fn restart_and_compaction_preserve_answers_on_testkit_dataset() {
     // compacted directory must recover past its folded generations too.
     drop(durable);
     drop(compacting);
-    let reopened = QaServer::open(&restart_dir, config).expect("recover restart dir");
-    let recompacted = QaServer::open(&compact_dir, config).expect("recover compact dir");
+    let reopened = ShardedQaServer::open(&restart_dir, config).expect("recover restart dir");
+    let recompacted = ShardedQaServer::open(&compact_dir, config).expect("recover compact dir");
     assert_eq!(reopened.template_count(), baseline.template_count());
     assert_eq!(recompacted.template_count(), baseline.template_count());
+    // Both directories advance by the same steps from here (recovery's
+    // convergence compaction, then this one), so the mid-stream
+    // compactions must still show as a later generation.
     assert!(
-        recompacted.storage_generation() > reopened.storage_generation(),
+        recompacted.compact().expect("compact") > reopened.compact().expect("compact"),
         "compaction never advanced the snapshot generation"
     );
 
@@ -135,9 +92,10 @@ fn restart_and_compaction_preserve_answers_on_testkit_dataset() {
         } else {
             base[i % base.len()].to_owned()
         };
-        let want = baseline.answer(&question);
-        assert_same_outcome(&reopened.answer(&question), &want, &format!("restart q{i}"));
-        assert_same_outcome(&recompacted.answer(&question), &want, &format!("compaction q{i}"));
+        let want = baseline.answer(&question).outcome;
+        let (restart, compaction) = (format!("restart q{i}"), format!("compaction q{i}"));
+        assert_same_outcome(&reopened.answer(&question).outcome, &want, &restart);
+        assert_same_outcome(&recompacted.answer(&question).outcome, &want, &compaction);
     }
 
     let _ = std::fs::remove_dir_all(&restart_dir);
@@ -155,32 +113,23 @@ fn bgp_evaluator_choice_does_not_change_answers() {
     assert!(!library.is_empty(), "no templates generated from the testkit dataset");
     let lexicon = dataset.kb.lexicon.clone();
 
-    let lftj = QaServer::new(
-        store_of(&library),
-        lexicon.clone(),
-        dataset.kb.triple_store(),
-        ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: Some(uqsj_rdf::BgpEval::Lftj) },
-    );
-    let reference = QaServer::new(
-        store_of(&library),
-        lexicon,
-        dataset.kb.triple_store(),
-        ServeConfig {
-            min_phi: 1.0,
-            cache_capacity: 0,
-            bgp_eval: Some(uqsj_rdf::BgpEval::Reference),
-        },
-    );
+    let server = |eval| {
+        let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: Some(eval) };
+        let triples = dataset.kb.triple_store();
+        ShardedQaServer::new(clone_library(&library), lexicon.clone(), triples, 1, config)
+    };
+    let lftj = server(uqsj_rdf::BgpEval::Lftj);
+    let reference = server(uqsj_rdf::BgpEval::Reference);
 
     for (i, pair) in dataset.pairs.iter().enumerate() {
-        let want = lftj.answer(&pair.question);
-        assert_same_outcome(&reference.answer(&pair.question), &want, &format!("q{i}"));
+        let want = lftj.answer(&pair.question).outcome;
+        assert_same_outcome(&reference.answer(&pair.question).outcome, &want, &format!("q{i}"));
     }
     // The batch path installs the scoped override per worker thread too.
     let questions: Vec<String> = dataset.pairs.iter().map(|p| p.question.clone()).collect();
     let a = lftj.answer_batch(&questions, 4);
     let b = reference.answer_batch(&questions, 4);
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_same_outcome(y, x, &format!("batch q{i}"));
+        assert_same_outcome(&y.outcome, &x.outcome, &format!("batch q{i}"));
     }
 }

@@ -1,49 +1,19 @@
-//! Acceptance: replaying a 1,000-question stream through the indexed
-//! `QaServer` yields, for every single question, exactly the answer the
-//! linear-scan `answer_question` baseline produces — while the signature
-//! filter keeps the measured candidate ratio strictly below 1.0.
+//! Acceptance: replaying a 1,000-question stream through a one-shard
+//! `ShardedQaServer` yields, for every single question, exactly the
+//! answer the linear-scan `answer_question` baseline produces — while the
+//! signature filter keeps the measured candidate ratio strictly below 1.0.
 
-use uqsj_serve::{QaServer, ServeConfig, TemplateStore};
-use uqsj_simjoin::{sim_join, JoinParams};
-use uqsj_template::{
-    answer_question, generate_template, QaOutcome, TemplateLibrary, TemplateSource,
-};
+mod common;
+
+use common::{assert_same_outcome, batch_library, clone_library};
+use uqsj_serve::{ServeConfig, ShardedQaServer};
+use uqsj_simjoin::JoinParams;
+use uqsj_template::{answer_question, TemplateLibrary};
 use uqsj_workload::{qald_like, Dataset, DatasetConfig};
-
-/// The offline pipeline (join + template generation), as `uqsj::pipeline`
-/// runs it — the baseline library the server must answer identically to.
-fn batch_library(dataset: &Dataset, params: JoinParams) -> TemplateLibrary {
-    let (matches, _) = sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
-    let mut library = TemplateLibrary::new();
-    for m in &matches {
-        let source = TemplateSource {
-            analysis: &dataset.analyses[m.g_index],
-            query: &dataset.d_queries[m.q_index],
-            query_terms: &dataset.d_terms[m.q_index],
-            mapping: &m.mapping,
-            confidence: m.prob,
-        };
-        if let Some(t) = generate_template(&source) {
-            library.add(t);
-        }
-    }
-    library
-}
-
-fn assert_same_outcome(got: &QaOutcome, want: &QaOutcome, context: &str) {
-    assert_eq!(
-        got.sparql.as_ref().map(ToString::to_string),
-        want.sparql.as_ref().map(ToString::to_string),
-        "sparql diverged: {context}"
-    );
-    assert_eq!(got.answers, want.answers, "answers diverged: {context}");
-    assert_eq!(got.template_index, want.template_index, "template diverged: {context}");
-    assert!((got.phi - want.phi).abs() < 1e-12, "phi diverged: {context}");
-}
 
 fn build(questions: usize) -> (Dataset, TemplateLibrary) {
     let dataset = qald_like(&DatasetConfig { questions, distractors: 40, ..Default::default() });
-    let library = batch_library(&dataset, JoinParams::simj(1, 0.5));
+    let library = batch_library(&dataset, questions, JoinParams::simj(1, 0.5));
     (dataset, library)
 }
 
@@ -54,10 +24,11 @@ fn thousand_question_replay_matches_linear_scan() {
     let lexicon = dataset.kb.lexicon.clone();
     let triples = dataset.kb.triple_store();
     let config = ServeConfig { min_phi: 1.0, cache_capacity: 256, bgp_eval: None };
-    let server = QaServer::new(
-        TemplateStore::from_library(clone_library(&library)),
+    let server = ShardedQaServer::new(
+        clone_library(&library),
         lexicon.clone(),
         dataset.kb.triple_store(),
+        1,
         config,
     );
 
@@ -73,7 +44,7 @@ fn thousand_question_replay_matches_linear_scan() {
     }
 
     for (i, q) in stream.iter().enumerate() {
-        let got = server.answer(q);
+        let got = server.answer(q).outcome;
         let want = answer_question(&library, &lexicon, &triples, q, config.min_phi);
         assert_same_outcome(&got, &want, &format!("question #{i}: {q:?}"));
     }
@@ -99,16 +70,17 @@ fn partial_match_serving_matches_linear_scan() {
     let triples = dataset.kb.triple_store();
     // Cache off so every question exercises the filtered ranking path.
     let config = ServeConfig { min_phi: 0.5, cache_capacity: 0, bgp_eval: None };
-    let server = QaServer::new(
-        TemplateStore::from_library(clone_library(&library)),
+    let server = ShardedQaServer::new(
+        clone_library(&library),
         lexicon.clone(),
         dataset.kb.triple_store(),
+        1,
         config,
     );
     for (i, p) in dataset.pairs.iter().enumerate() {
         let noisy = format!("{} according to the records", p.question);
         for q in [p.question.as_str(), noisy.as_str()] {
-            let got = server.answer(q);
+            let got = server.answer(q).outcome;
             let want = answer_question(&library, &lexicon, &triples, q, config.min_phi);
             assert_same_outcome(&got, &want, &format!("question #{i}: {q:?}"));
         }
@@ -120,25 +92,12 @@ fn batch_answers_equal_sequential_answers() {
     let (dataset, library) = build(30);
     let lexicon = dataset.kb.lexicon.clone();
     let triples = dataset.kb.triple_store();
-    let server = QaServer::new(
-        TemplateStore::from_library(library),
-        lexicon,
-        triples,
-        ServeConfig::default(),
-    );
+    let server = ShardedQaServer::new(library, lexicon, triples, 1, ServeConfig::default());
     let questions: Vec<String> = dataset.pairs.iter().map(|p| p.question.clone()).collect();
-    let sequential: Vec<_> = questions.iter().map(|q| server.answer(q)).collect();
+    let sequential: Vec<_> = questions.iter().map(|q| server.answer(q).outcome).collect();
     let batch = server.answer_batch(&questions, 4);
     assert_eq!(batch.len(), sequential.len());
     for (i, (got, want)) in batch.iter().zip(&sequential).enumerate() {
-        assert_same_outcome(got, want, &format!("batch position {i}"));
+        assert_same_outcome(&got.outcome, want, &format!("batch position {i}"));
     }
-}
-
-fn clone_library(library: &TemplateLibrary) -> TemplateLibrary {
-    let mut out = TemplateLibrary::new();
-    for t in library.templates() {
-        out.add(t.clone());
-    }
-    out
 }

@@ -1,62 +1,18 @@
-//! Restart equivalence (ISSUE 2 acceptance): a durable `QaServer` that
+//! Restart equivalence: a durable one-shard `ShardedQaServer` that
 //! ingests questions, shuts down, and reopens from its data directory
 //! answers a 200-question replay *identically* to a server that never
 //! restarted.
 
-use std::path::PathBuf;
-use uqsj_serve::{Ingestor, QaServer, ServeConfig, TemplateStore};
-use uqsj_simjoin::{sim_join, JoinParams};
-use uqsj_template::{generate_template, QaOutcome, TemplateLibrary, TemplateSource};
-use uqsj_workload::{qald_like, Dataset, DatasetConfig};
+mod common;
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uqsj-serve-restart-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Batch library over the first `n` questions (the offline seed state).
-fn batch_library(dataset: &Dataset, n: usize, params: JoinParams) -> TemplateLibrary {
-    let (matches, _) = sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs[..n], params);
-    let mut library = TemplateLibrary::new();
-    for m in &matches {
-        let source = TemplateSource {
-            analysis: &dataset.analyses[m.g_index],
-            query: &dataset.d_queries[m.q_index],
-            query_terms: &dataset.d_terms[m.q_index],
-            mapping: &m.mapping,
-            confidence: m.prob,
-        };
-        if let Some(t) = generate_template(&source) {
-            library.add(t);
-        }
-    }
-    library
-}
-
-fn store_of(library: &TemplateLibrary) -> TemplateStore {
-    let mut clone = TemplateLibrary::new();
-    for t in library.templates() {
-        clone.add(t.clone());
-    }
-    TemplateStore::from_library(clone)
-}
-
-fn assert_same_outcome(got: &QaOutcome, want: &QaOutcome, context: &str) {
-    assert_eq!(
-        got.sparql.as_ref().map(ToString::to_string),
-        want.sparql.as_ref().map(ToString::to_string),
-        "sparql diverged: {context}"
-    );
-    assert_eq!(got.answers, want.answers, "answers diverged: {context}");
-    assert_eq!(got.template_index, want.template_index, "template diverged: {context}");
-    assert!((got.phi - want.phi).abs() < 1e-12, "phi diverged: {context}");
-}
+use common::{assert_same_outcome, batch_library, clone_library, scratch_dir};
+use uqsj_serve::{Ingestor, ServeConfig, ShardedQaServer};
+use uqsj_simjoin::JoinParams;
+use uqsj_workload::{qald_like, DatasetConfig};
 
 #[test]
 fn reopened_server_replays_identically_to_uninterrupted_one() {
-    let dir = scratch_dir("replay");
+    let dir = scratch_dir("restart");
     let dataset =
         qald_like(&DatasetConfig { questions: 60, distractors: 40, ..Default::default() });
     let params = JoinParams::simj(1, 0.5);
@@ -68,17 +24,19 @@ fn reopened_server_replays_identically_to_uninterrupted_one() {
 
     // Two servers with the same seed state: one in-memory (never
     // restarted), one durable in the data directory.
+    let triples = || dataset.kb.triple_store();
     let baseline =
-        QaServer::new(store_of(&library), lexicon.clone(), dataset.kb.triple_store(), config);
-    let durable = QaServer::create(
+        ShardedQaServer::new(clone_library(&library), lexicon.clone(), triples(), 1, config);
+    let durable = ShardedQaServer::create(
         &dir,
-        store_of(&library),
+        clone_library(&library),
         lexicon.clone(),
-        dataset.kb.triple_store(),
+        triples(),
+        1,
+        1,
         config,
     )
     .expect("bootstrap data dir");
-    assert_eq!(durable.storage_generation(), Some(1));
 
     // The remaining questions arrive online; both servers ingest the
     // same templates. The durable one journals each batch to its WAL.
@@ -105,7 +63,7 @@ fn reopened_server_replays_identically_to_uninterrupted_one() {
     // Kill the durable server (drop = no shutdown hook, like a crash
     // after the last acknowledged ingest) and recover from disk.
     drop(durable);
-    let reopened = QaServer::open(&dir, config).expect("recover from data dir");
+    let reopened = ShardedQaServer::open(&dir, config).expect("recover from data dir");
     assert_eq!(reopened.template_count(), baseline.template_count());
 
     // 200-question replay: every dataset question plus periodic misses.
@@ -116,21 +74,21 @@ fn reopened_server_replays_identically_to_uninterrupted_one() {
         } else {
             base[i % base.len()].to_owned()
         };
-        let got = reopened.answer(&question);
-        let want = baseline.answer(&question);
+        let got = reopened.answer(&question).outcome;
+        let want = baseline.answer(&question).outcome;
         assert_same_outcome(&got, &want, &format!("replay #{i}: {question:?}"));
     }
 
     // Compacting the recovered state and reopening once more still
-    // serves the same answers (WAL folded into the new snapshot).
-    let generation = reopened.compact().expect("compact").expect("durable server");
-    assert_eq!(generation, 2);
+    // serves the same answers (WAL folded into the new snapshot). `create`
+    // committed generation 1 and recovery's convergence compaction 2.
+    assert_eq!(reopened.compact().expect("compact"), vec![3]);
     drop(reopened);
-    let recompacted = QaServer::open(&dir, config).expect("reopen after compaction");
+    let recompacted = ShardedQaServer::open(&dir, config).expect("reopen after compaction");
     assert_eq!(recompacted.template_count(), baseline.template_count());
     for question in base.iter().take(40) {
-        let got = recompacted.answer(question);
-        let want = baseline.answer(question);
+        let got = recompacted.answer(question).outcome;
+        let want = baseline.answer(question).outcome;
         assert_same_outcome(&got, &want, &format!("post-compaction: {question:?}"));
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,44 +5,14 @@
 //! must refuse to open — never serve empty — when bootstrap failed or a
 //! whole shard is unreadable.
 
+mod common;
+
+use common::{batch_library, clone_library, scratch_dir};
 use std::path::{Path, PathBuf};
-use uqsj_serve::{ServeConfig, ShardedQaServer};
-use uqsj_simjoin::{sim_join, JoinParams};
-use uqsj_template::{
-    answer_question, generate_template, QaOutcome, TemplateLibrary, TemplateSource,
-};
+use uqsj_serve::{shard_of_tokens, ServeConfig, ShardedQaServer};
+use uqsj_simjoin::JoinParams;
+use uqsj_template::{answer_question, QaOutcome, TemplateLibrary};
 use uqsj_testkit::gen::qa_dataset;
-use uqsj_workload::Dataset;
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uqsj-sharded-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn batch_library(dataset: &Dataset, n: usize, params: JoinParams) -> TemplateLibrary {
-    let (matches, _) = sim_join(
-        &dataset.table,
-        &dataset.d_graphs,
-        &dataset.u_graphs[..n.min(dataset.u_graphs.len())],
-        params,
-    );
-    let mut library = TemplateLibrary::new();
-    for m in &matches {
-        let source = TemplateSource {
-            analysis: &dataset.analyses[m.g_index],
-            query: &dataset.d_queries[m.q_index],
-            query_terms: &dataset.d_terms[m.q_index],
-            mapping: &m.mapping,
-            confidence: m.prob,
-        };
-        if let Some(t) = generate_template(&source) {
-            library.add(t);
-        }
-    }
-    library
-}
 
 /// Flip 16 bytes in the middle of a replica's snapshot file; returns the
 /// file and its corrupted contents.
@@ -61,14 +31,6 @@ fn corrupt_snapshot(replica: &Path) -> (PathBuf, Vec<u8>) {
     }
     std::fs::write(&snapshot, &bytes).expect("corrupt snapshot");
     (snapshot, bytes)
-}
-
-fn clone_library(library: &TemplateLibrary) -> TemplateLibrary {
-    let mut clone = TemplateLibrary::new();
-    for t in library.templates() {
-        clone.add(t.clone());
-    }
-    clone
 }
 
 /// Map a sharded answer's (shard, local index) to the index in the
@@ -362,6 +324,94 @@ fn recovery_refuses_a_shard_with_no_readable_replica() {
         for (path, bytes) in &corrupted {
             assert_eq!(&std::fs::read(path).expect("corrupt bytes survive"), bytes);
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Dedup keys and confidences of a library, in order.
+fn library_keys(library: &TemplateLibrary) -> Vec<((String, String), f64)> {
+    library.templates().iter().map(|t| (t.dedup_key(), t.confidence)).collect()
+}
+
+/// A deleted replica directory is an unreadable replica, not an empty
+/// one: recovery adopts the surviving sibling and re-creates the deleted
+/// one. Shard 0 holds no templates here, so a re-created empty replica
+/// would tie with its sibling on template count — and shard 0 supplies
+/// the whole server's lexicon and RDF store.
+#[test]
+fn recovery_heals_a_deleted_replica_directory() {
+    let dir = scratch_dir("deleted-replica");
+    let dataset = qa_dataset(779, 30, 20);
+    let mut library = TemplateLibrary::new();
+    for t in batch_library(&dataset, 30, JoinParams::simj(1, 0.5)).templates() {
+        if shard_of_tokens(&t.nl_tokens, 2) == 1 {
+            library.add(t.clone());
+        }
+    }
+    assert!(!library.is_empty(), "shard 1 needs templates");
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None };
+    let lexicon = &dataset.kb.lexicon;
+    let triples = dataset.kb.triple_store();
+    let durable = ShardedQaServer::create(
+        &dir,
+        clone_library(&library),
+        lexicon.clone(),
+        dataset.kb.triple_store(),
+        2,
+        2,
+        config,
+    )
+    .expect("bootstrap sharded dir");
+    assert_eq!(durable.shard_template_counts(), vec![0, library.len()]);
+    let canonical = library_keys(&durable.canonical_library());
+    drop(durable);
+
+    let replica = dir.join("shard-0000").join("replica-00");
+    std::fs::remove_dir_all(&replica).expect("delete replica");
+    for attempt in 0..2 {
+        let reopened = ShardedQaServer::open(&dir, config).expect("recovery");
+        assert_eq!(library_keys(&reopened.canonical_library()), canonical, "attempt {attempt}");
+        assert_eq!(reopened.triples().len(), triples.len(), "attempt {attempt}: RDF store lost");
+        assert!(!triples.is_empty());
+        assert_eq!(reopened.lexicon().predicates, lexicon.predicates, "attempt {attempt}");
+        assert_eq!(reopened.lexicon().class_nouns, lexicon.class_nouns, "attempt {attempt}");
+        assert_eq!(reopened.lexicon().surface_forms.len(), lexicon.surface_forms.len());
+        assert!(replica.is_dir(), "attempt {attempt}: deleted replica was not re-created");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard whose every replica directory is gone has nothing to recover
+/// from: `open` is an error, and recovery creates no directory for it.
+#[test]
+fn recovery_refuses_a_shard_whose_replicas_were_all_deleted() {
+    let dir = scratch_dir("deleted-shard");
+    let dataset = qa_dataset(779, 30, 20);
+    let library = batch_library(&dataset, 30, JoinParams::simj(1, 0.5));
+    let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None };
+    let durable = ShardedQaServer::create(
+        &dir,
+        library,
+        dataset.kb.lexicon.clone(),
+        dataset.kb.triple_store(),
+        2,
+        2,
+        config,
+    )
+    .expect("bootstrap sharded dir");
+    drop(durable);
+
+    let shard0 = dir.join("shard-0000");
+    for ri in 0..2 {
+        std::fs::remove_dir_all(shard0.join(format!("replica-{ri:02}"))).expect("delete replica");
+    }
+    for attempt in 0..2 {
+        assert!(
+            ShardedQaServer::open(&dir, config).is_err(),
+            "attempt {attempt}: opened a shard with no replica"
+        );
+        let left: Vec<_> = std::fs::read_dir(&shard0).expect("shard dir").collect();
+        assert!(left.is_empty(), "attempt {attempt}: recovery created {left:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

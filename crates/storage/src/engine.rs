@@ -9,10 +9,10 @@
 //! ```
 //!
 //! - **open**: read `CURRENT` (initializing an empty generation 0 on a
-//!   fresh directory), load the snapshot, replay the WAL over it
-//!   (truncating a torn tail), delete stale files from other
-//!   generations, and hand back both the recovered state and an engine
-//!   ready to append.
+//!   fresh directory; `open_existing` refuses one instead), load the
+//!   snapshot, replay the WAL over it (truncating a torn tail), delete
+//!   stale files from other generations, and hand back both the
+//!   recovered state and an engine ready to append.
 //! - **append**: journal accepted templates; they are durable (fsynced)
 //!   before the caller applies them in memory.
 //! - **compact**: write the caller's current state as the next
@@ -129,6 +129,21 @@ impl StorageEngine {
                 wal_torn_bytes: replay.torn_bytes,
             },
         ))
+    }
+
+    /// Like [`StorageEngine::open`], but only for a directory that already
+    /// holds a committed generation: a missing directory, or one without
+    /// a generation pointer, is an error and nothing is created. Recovery
+    /// uses this so a deleted directory is never mistaken for an empty
+    /// store.
+    pub fn open_existing(dir: &Path) -> Result<(Self, RecoveredState), StorageError> {
+        if !dir.join(CURRENT).is_file() {
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("{} holds no committed generation", dir.display()),
+            )));
+        }
+        Self::open(dir)
     }
 
     /// Journal accepted templates. Durable (fsynced) on return — apply

@@ -22,8 +22,8 @@ pub mod template;
 
 pub use generate::{generate_template, TemplateSource};
 pub use qa::{
-    answer_across, answer_question, answer_with_candidates, AnswerStats, CandidateRef, MultiAnswer,
-    QaOutcome, TemplateLibrary,
+    answer_across, answer_question, AnswerStats, CandidateRef, MultiAnswer, QaOutcome,
+    TemplateLibrary,
 };
 pub use template::{SlotBinding, Template};
 

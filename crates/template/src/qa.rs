@@ -70,7 +70,8 @@ pub struct QaOutcome {
 /// Answer a question with the library. `min_phi` is the Table-5 knob:
 /// `1.0` requires a full template match; lower values admit partial
 /// matches ("we can also generate SPARQL queries based on this partial
-/// match", Appendix F.2).
+/// match", Appendix F.2). A linear scan over every template: the oracle
+/// the serving layer's signature-filtered path is tested against.
 pub fn answer_question(
     library: &TemplateLibrary,
     lexicon: &Lexicon,
@@ -78,11 +79,12 @@ pub fn answer_question(
     question: &str,
     min_phi: f64,
 ) -> QaOutcome {
-    answer_with_candidates(library, 0..library.len(), lexicon, store, question, min_phi).0
+    let candidates = (0..library.len()).map(|index| CandidateRef { library: 0, index });
+    answer_across(&[library], candidates, lexicon, store, question, min_phi).0.outcome
 }
 
-/// Verification-side counters reported by [`answer_with_candidates`],
-/// consumed by the serving layer's metrics.
+/// Verification-side counters reported by [`answer_across`], consumed by
+/// the serving layer's metrics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AnswerStats {
     /// Candidate templates examined (alignment attempted).
@@ -126,12 +128,15 @@ pub struct MultiAnswer {
     pub library: Option<usize>,
 }
 
-/// Answer a question by verifying only `candidates` (ascending template
-/// indexes — the serving layer passes a signature-pruned subset, the
-/// linear scan passes `0..len`). Produces *identical* outcomes to ranking
-/// the full library as long as `candidates` contains every template that
-/// can align: ranking is by (φ desc, TED asc, confidence desc, index asc),
-/// exactly the order the eager sort used.
+/// Answer a question by ranking candidates drawn from *several* libraries
+/// at once — the sharded template store's merge path; the linear scan
+/// [`answer_question`] passes one library and every index. The total
+/// order is (φ desc, TED asc, confidence desc, (library, index) asc): for
+/// a sharded store it equals ranking the concatenation of the shard
+/// libraries in shard order. Candidates must arrive in ascending
+/// (library, index) order for the equal-φ tiebreak to hold, and must
+/// include every template that can align (the serving layer passes a
+/// signature-pruned subset) for the outcome to equal the linear scan's.
 ///
 /// TED — the expensive step (O(n²·m²) Zhang–Shasha) — is evaluated
 /// lazily: candidates within an equal-φ group are verified best-first by
@@ -140,32 +145,6 @@ pub struct MultiAnswer {
 /// Singleton groups skip TED entirely. Since `fill_and_execute` usually
 /// succeeds on the first ranked candidate, most TED work is skipped
 /// without changing any answer.
-pub fn answer_with_candidates(
-    library: &TemplateLibrary,
-    candidates: impl IntoIterator<Item = usize>,
-    lexicon: &Lexicon,
-    store: &TripleStore,
-    question: &str,
-    min_phi: f64,
-) -> (QaOutcome, AnswerStats) {
-    let (multi, stats) = answer_across(
-        &[library],
-        candidates.into_iter().map(|index| CandidateRef { library: 0, index }),
-        lexicon,
-        store,
-        question,
-        min_phi,
-    );
-    (multi.outcome, stats)
-}
-
-/// Answer a question by ranking candidates drawn from *several* libraries
-/// at once — the sharded template store's merge path. The total order is
-/// (φ desc, TED asc, confidence desc, (library, index) asc): with a
-/// single library this is exactly [`answer_with_candidates`]'s order, and
-/// for a sharded store it equals ranking the concatenation of the shard
-/// libraries in shard order. Candidates must arrive in ascending
-/// (library, index) order for the equal-φ tiebreak to hold.
 pub fn answer_across(
     libraries: &[&TemplateLibrary],
     candidates: impl IntoIterator<Item = CandidateRef>,
@@ -522,7 +501,7 @@ mod tests {
 
     /// The pre-refactor ranking: compute every candidate's TED eagerly,
     /// then one stable 3-key sort. Kept here as the reference oracle for
-    /// the lazy best-first verification in `answer_with_candidates`.
+    /// the lazy best-first verification in `answer_across`.
     fn eager_answer(
         library: &TemplateLibrary,
         lexicon: &Lexicon,
@@ -635,8 +614,9 @@ mod tests {
         for q in questions {
             for min_phi in [1.0, 0.6, 0.3] {
                 let want = eager_answer(&lib, &lex, &store, q, min_phi);
-                let (got, stats) =
-                    answer_with_candidates(&lib, 0..lib.len(), &lex, &store, q, min_phi);
+                let candidates = (0..lib.len()).map(|index| CandidateRef { library: 0, index });
+                let (got, stats) = answer_across(&[&lib], candidates, &lex, &store, q, min_phi);
+                let got = got.outcome;
                 assert_eq!(
                     got.sparql.as_ref().map(ToString::to_string),
                     want.sparql.as_ref().map(ToString::to_string),
