@@ -15,8 +15,7 @@ use crate::http::{Request, Response};
 use crate::json::{self, object, Value};
 use crate::metrics::NetMetrics;
 use std::time::Instant;
-use uqsj_serve::ShardedQaServer;
-use uqsj_template::QaOutcome;
+use uqsj_serve::{ShardedAnswer, ShardedQaServer};
 
 /// Stable route name for metric labels. Every `/debug/*` path shares one
 /// label value — the set is bounded by design.
@@ -136,9 +135,11 @@ fn parse_body(body: &[u8]) -> Result<Value, Response> {
     json::parse(text).map_err(|e| Response::error(400, &format!("invalid JSON: {e}")))
 }
 
-/// One outcome as a JSON object. `shard`/`shards_touched` are present
-/// only on the single-question path (the batch path does not track them).
-fn outcome_json(o: &QaOutcome, shard: Option<usize>, touched: Option<usize>) -> Value {
+/// One answer as a JSON object, on the single-question and the batch
+/// path alike. `template_index` is local to `shard`, which is present
+/// whenever a template applied; `shards_touched` is always present.
+fn outcome_json(answered: &ShardedAnswer) -> Value {
+    let o = &answered.outcome;
     let mut fields = vec![
         ("answers".to_owned(), o.answers.iter().map(|a| Value::from(a.as_str())).collect()),
         (
@@ -148,12 +149,10 @@ fn outcome_json(o: &QaOutcome, shard: Option<usize>, touched: Option<usize>) -> 
         ("template_index".to_owned(), o.template_index.map_or(Value::Null, Value::from)),
         ("phi".to_owned(), Value::from(o.phi)),
     ];
-    if let Some(s) = shard {
+    if let Some(s) = answered.shard {
         fields.push(("shard".to_owned(), Value::from(s)));
     }
-    if let Some(t) = touched {
-        fields.push(("shards_touched".to_owned(), Value::from(t)));
-    }
+    fields.push(("shards_touched".to_owned(), Value::from(answered.shards_touched)));
     Value::Object(fields.into_iter().collect())
 }
 
@@ -175,7 +174,7 @@ fn answer(qa: &ShardedQaServer, metrics: &NetMetrics, body: &[u8], deadline: Ins
             return answer_explained(qa, question);
         }
         let answered = qa.answer(question);
-        let body = outcome_json(&answered.outcome, answered.shard, Some(answered.shards_touched));
+        let body = outcome_json(&answered);
         return Response::json(200, body.render());
     }
     if let Some(items) = doc.get("questions").and_then(Value::as_array) {
@@ -194,7 +193,7 @@ fn answer(qa: &ShardedQaServer, metrics: &NetMetrics, body: &[u8], deadline: Ins
             },
         };
         let answers = qa.answer_batch(&questions, threads);
-        let results: Value = answers.iter().map(|a| outcome_json(&a.outcome, None, None)).collect();
+        let results: Value = answers.iter().map(outcome_json).collect();
         return Response::json(200, object([("results", results)]).render());
     }
     Response::error(400, "body needs a \"question\" string or \"questions\" array")
@@ -211,8 +210,7 @@ fn answer_explained(qa: &ShardedQaServer, question: &str) -> Response {
     let _ctx = uqsj_obs::ctx::install(ctx);
     qa.serve_metrics().record_explain();
     let (answered, report) = qa.answer_explained(question);
-    let mut body =
-        outcome_json(&answered.outcome, answered.shard, Some(answered.shards_touched)).render();
+    let mut body = outcome_json(&answered).render();
     // Splice the hand-rendered report in as a raw value: an object render
     // always ends with '}', so swap it for `,"explain":<report>}`.
     body.pop();

@@ -68,7 +68,7 @@ fn start(qa: Arc<ShardedQaServer>, config: NetConfig) -> (uqsj_net::ServerHandle
 #[test]
 fn answers_over_the_wire() {
     let qa = sharded(vec![graduated_template("graduatedFrom", 0.9)], 3);
-    let (handle, mut client) = start(qa, NetConfig::default());
+    let (handle, mut client) = start(Arc::clone(&qa), NetConfig::default());
 
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
     assert_eq!(client.get("/readyz").expect("readyz").status, 200);
@@ -96,6 +96,15 @@ fn answers_over_the_wire() {
     let results = doc.get("results").and_then(json::Value::as_array).expect("results");
     assert_eq!(results.len(), 2);
     assert_eq!(results[0].get("answers").and_then(json::Value::as_array).map(<[_]>::len), Some(1));
+    assert!(results[0].get("shard").is_some(), "batch results must carry the answering shard");
+    // `template_index` is local to `shard`: the pair must name the same
+    // template the in-process server chose.
+    for (result, q) in results.iter().zip(["Which physicist graduated from CMU?", "gibberish"]) {
+        let want = qa.answer(q);
+        let shard = result.get("shard").and_then(json::Value::as_usize);
+        let index = result.get("template_index").and_then(json::Value::as_usize);
+        assert_eq!((shard, index), (want.shard, want.outcome.template_index), "{q:?}");
+    }
 
     handle.shutdown().expect("drain");
 }
@@ -231,7 +240,9 @@ fn request_id_round_trips_and_explain_report_reconciles() {
     // counts across the stages plus the chosen template sum to the
     // library size the signature stage started from.
     let stages = explain.get("stages").and_then(json::Value::as_array).expect("stages");
-    assert!(!stages.is_empty());
+    let labels: Vec<&str> =
+        stages.iter().filter_map(|s| s.get("stage").and_then(json::Value::as_str)).collect();
+    assert_eq!(labels, ["signature", "bound", "align", "ted"]);
     let entering =
         stages[0].get("input").and_then(json::Value::as_usize).expect("first stage input");
     let pruned: usize = stages

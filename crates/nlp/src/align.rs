@@ -9,6 +9,16 @@
 //! φ (Appendix F.2) is the fraction of question words covered by the
 //! template's non-slot words plus slot phrases under the best partial
 //! alignment.
+//!
+//! Two implementations of each aligner live here. [`align_with_slots`]
+//! and [`partial_align_with_slots`] work on `String` tokens and are the
+//! reference oracles. [`align_ids`] and [`PartialAligner`] are the
+//! production aligners: they work on token ids from [`TokenIds`] and
+//! report slots as question spans, and they must return exactly what the
+//! oracles return.
+
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Maximum words one slot may absorb.
 pub const MAX_SLOT_WORDS: usize = 4;
@@ -191,6 +201,196 @@ pub fn partial_align_with_slots(
     Some((covered as f64 / n as f64, slots_rev))
 }
 
+/// Id of a slot token in an id-encoded template.
+const SLOT_ID: u32 = u32::MAX;
+
+/// Id of a question word that no template of the vocabulary contains.
+const UNKNOWN_ID: u32 = u32::MAX - 1;
+
+/// A vocabulary of template words interned under ASCII-case-insensitive
+/// equality — exactly the `eq_ignore_ascii_case` relation the aligners
+/// match words by — so two tokens get the same id iff they match.
+#[derive(Clone, Debug, Default)]
+pub struct TokenIds {
+    ids: HashMap<String, u32>,
+}
+
+impl TokenIds {
+    /// Encode a template's NL tokens, interning new words. Slot tokens
+    /// get a reserved id no word has.
+    pub fn encode_template(&mut self, tokens: &[String]) -> Vec<u32> {
+        tokens
+            .iter()
+            .map(|t| {
+                if t == SLOT_TOKEN {
+                    return SLOT_ID;
+                }
+                let next = self.ids.len() as u32;
+                *self.ids.entry(t.to_ascii_lowercase()).or_insert(next)
+            })
+            .collect()
+    }
+
+    /// Encode a question's tokens without interning: a word no template
+    /// contains gets a reserved id that matches nothing.
+    pub fn encode_question(&self, tokens: &[String]) -> Vec<u32> {
+        let mut key = String::new();
+        tokens
+            .iter()
+            .map(|t| {
+                key.clear();
+                key.push_str(t);
+                key.make_ascii_lowercase();
+                self.ids.get(key.as_str()).copied().unwrap_or(UNKNOWN_ID)
+            })
+            .collect()
+    }
+}
+
+/// [`align_with_slots`] over token ids: on success pushes each slot's
+/// question span onto `slots`, in template order, and returns `true`; on
+/// failure leaves `slots` as it found it.
+pub fn align_ids(template: &[u32], question: &[u32], slots: &mut Vec<Range<usize>>) -> bool {
+    align_ids_rec(template, question, 0, slots)
+}
+
+/// `at` is the position of `question[0]` in the whole question. A failed
+/// branch pops every span it pushed.
+fn align_ids_rec(
+    template: &[u32],
+    question: &[u32],
+    at: usize,
+    slots: &mut Vec<Range<usize>>,
+) -> bool {
+    match template.first() {
+        None => question.is_empty(),
+        Some(&SLOT_ID) => {
+            for take in 1..=MAX_SLOT_WORDS.min(question.len()) {
+                slots.push(at..at + take);
+                if align_ids_rec(&template[1..], &question[take..], at + take, slots) {
+                    return true;
+                }
+                slots.pop();
+            }
+            false
+        }
+        Some(t) => {
+            question.first() == Some(t)
+                && align_ids_rec(&template[1..], &question[1..], at + 1, slots)
+        }
+    }
+}
+
+/// [`partial_align_with_slots`] over token ids, with one flat DP buffer
+/// reused across calls.
+///
+/// The oracle's scores make a one-word slot strictly better than a
+/// k-word one: a k-word slot at question position `j` scores
+/// `-64k - j`, while skipping k-1 question words and filling the slot
+/// with the next word scores `-64 - (j + k - 1)`, which is `63(k - 1)`
+/// higher and reaches the same state. So no optimal alignment uses a
+/// longer slot, and this DP only tries one-word slots. Its best scores
+/// and its first-best back pointers are the oracle's.
+#[derive(Debug, Default)]
+pub struct PartialAligner {
+    /// `best[i * (n + 1) + j]`: best score with `i` template and `j`
+    /// question tokens consumed.
+    best: Vec<i64>,
+    /// How each state was reached: `SKIP_QUESTION`, `SKIP_TEMPLATE` or
+    /// `DIAGONAL` (a matched word or a one-word slot).
+    back: Vec<u8>,
+}
+
+const SKIP_QUESTION: u8 = 1;
+const SKIP_TEMPLATE: u8 = 2;
+const DIAGONAL: u8 = 3;
+
+impl PartialAligner {
+    /// Best partial alignment of `template` over `question`: returns φ
+    /// and pushes each slot's question span onto `slots`, in template
+    /// order; returns `None` (leaving `slots` as it was) when the
+    /// template cannot be laid over the question.
+    pub fn align(
+        &mut self,
+        template: &[u32],
+        question: &[u32],
+        slots: &mut Vec<Range<usize>>,
+    ) -> Option<f64> {
+        if question.is_empty() || template.is_empty() {
+            return None;
+        }
+        const NEG: i64 = i64::MIN / 2;
+        let (m, n) = (template.len(), question.len());
+        let w = n + 1;
+        self.best.clear();
+        self.best.resize((m + 1) * w, NEG);
+        self.back.clear();
+        self.back.resize((m + 1) * w, 0);
+        let (best, back) = (&mut self.best, &mut self.back);
+        best[0] = 0;
+        // Same visiting order and strict-improvement rule as the oracle,
+        // so ties resolve to the same back pointers.
+        for i in 0..=m {
+            for j in 0..=n {
+                let here = best[i * w + j];
+                if here == NEG {
+                    continue;
+                }
+                if j < n && here > best[i * w + j + 1] {
+                    best[i * w + j + 1] = here;
+                    back[i * w + j + 1] = SKIP_QUESTION;
+                }
+                if i == m {
+                    continue;
+                }
+                let t = template[i];
+                if t != SLOT_ID {
+                    let v = here - 256;
+                    if v > best[(i + 1) * w + j] {
+                        best[(i + 1) * w + j] = v;
+                        back[(i + 1) * w + j] = SKIP_TEMPLATE;
+                    }
+                }
+                if j < n && (t == SLOT_ID || question[j] == t) {
+                    let v = if t == SLOT_ID { here - 64 - j as i64 } else { here + 65536 };
+                    if v > best[(i + 1) * w + j + 1] {
+                        best[(i + 1) * w + j + 1] = v;
+                        back[(i + 1) * w + j + 1] = DIAGONAL;
+                    }
+                }
+            }
+        }
+        // The oracle takes the last end state of maximal score.
+        let mut j = 0;
+        for k in 1..=n {
+            if best[m * w + k] >= best[m * w + j] {
+                j = k;
+            }
+        }
+        if best[m * w + j] <= 0 {
+            return None;
+        }
+        let mark = slots.len();
+        let (mut i, mut covered) = (m, 0usize);
+        while i != 0 || j != 0 {
+            match back[i * w + j] {
+                SKIP_QUESTION => j -= 1,
+                SKIP_TEMPLATE => i -= 1,
+                _ => {
+                    covered += 1;
+                    if template[i - 1] == SLOT_ID {
+                        slots.push(j - 1..j);
+                    }
+                    i -= 1;
+                    j -= 1;
+                }
+            }
+        }
+        slots[mark..].reverse();
+        Some(covered as f64 / n as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +472,43 @@ mod tests {
         let t = template("Which <_> graduated from <_>");
         let q = toks("name every mountain");
         assert!(partial_align_with_slots(&t, &q).is_none());
+    }
+
+    #[test]
+    fn id_aligners_agree_with_the_string_oracles() {
+        let templates = [
+            "Which <_> graduated from <_> ?",
+            "Which <_> graduated from <_>",
+            "Who is married to <_> ?",
+            "<_> <_> from",
+        ];
+        let questions = [
+            "which Physicist GRADUATED from CMU?",
+            "Which physicist graduated from CMU in the year 1990 exactly",
+            "Who is married to Michael Jordan?",
+            "name every mountain",
+            "from from from",
+        ];
+        let mut vocab = TokenIds::default();
+        let encoded: Vec<_> =
+            templates.iter().map(|t| (template(t), vocab.encode_template(&template(t)))).collect();
+        let mut aligner = PartialAligner::default();
+        for q in questions {
+            let q = toks(q);
+            let q_ids = vocab.encode_question(&q);
+            let phrases = |spans: &[Range<usize>]| -> Vec<Vec<String>> {
+                spans.iter().map(|r| q[r.clone()].to_vec()).collect()
+            };
+            for (t, t_ids) in &encoded {
+                let mut spans = Vec::new();
+                let full = align_ids(t_ids, &q_ids, &mut spans).then(|| phrases(&spans));
+                assert_eq!(full, align_with_slots(t, &q), "{t:?} vs {q:?}");
+                spans.clear();
+                let partial =
+                    aligner.align(t_ids, &q_ids, &mut spans).map(|phi| (phi, phrases(&spans)));
+                assert_eq!(partial, partial_align_with_slots(t, &q), "{t:?} vs {q:?}");
+            }
+        }
     }
 
     #[test]

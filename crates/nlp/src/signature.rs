@@ -1,16 +1,21 @@
 //! Cheap token/label signatures for template matching.
 //!
-//! The serving layer (`uqsj-serve`) keeps one [`NlSignature`] per template
-//! and one per incoming question, and uses them the way `JoinIndex` uses
-//! `(|V|, |E|)` on the join side: a constant-or-log-time filter that can
-//! only discard templates which provably cannot match, never one that
-//! could. Three bounds are exposed:
+//! Every template library (`uqsj-template`) keeps one [`NlSignature`] per
+//! template; the serving layer computes one per incoming question and
+//! uses them the way `JoinIndex` uses `(|V|, |E|)` on the join side: a
+//! cheap filter that can only discard templates which provably cannot
+//! match, never one that could. Answering then aligns the survivors
+//! best-first by their φ bound. Three bounds are exposed:
 //!
 //! - [`NlSignature::could_fully_align`] — necessary condition for
 //!   `align_with_slots` to succeed (token-count window + multiset
 //!   containment of the template's non-slot words);
 //! - [`NlSignature::phi_upper_bound`] — upper bound on the matching
-//!   proportion φ any (partial) alignment can reach;
+//!   proportion φ a partial alignment can reach. It is tight because an
+//!   optimal partial alignment fills every slot with exactly one word
+//!   (see [`crate::align::PartialAligner`]), so φ = (M + s) / n for M
+//!   matched template words, s slots and n question words, and M is at
+//!   most the word overlap;
 //! - [`NlSignature::ted_lower_bound`] — lower bound on the dependency-tree
 //!   edit distance, used to order exact TED verification best-first.
 //!
@@ -20,13 +25,21 @@
 use crate::align::MAX_SLOT_WORDS;
 use crate::ted::is_slot_word;
 
-/// Multiset summary of a token sequence: length, slot count, and sorted
-/// (lowercased word, multiplicity) pairs over the non-slot tokens.
+/// Multiset summary of a token sequence: length, slot count, and the
+/// (lowercased word, multiplicity) pairs over the non-slot tokens,
+/// sorted by (word hash, word) so [`NlSignature::word_overlap`] merges
+/// on integer compares and looks at the words only on a hash tie.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NlSignature {
     token_count: u32,
     slot_count: u32,
-    counts: Vec<(String, u32)>,
+    counts: Vec<(u64, String, u32)>,
+}
+
+/// FNV-1a hash of a word.
+fn word_hash(word: &str) -> u64 {
+    word.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 impl NlSignature {
@@ -35,22 +48,22 @@ impl NlSignature {
     /// dependency trees respectively) are counted separately and excluded
     /// from the word multiset.
     pub fn of_tokens(tokens: &[String]) -> Self {
-        let mut words: Vec<String> = Vec::with_capacity(tokens.len());
+        let mut words: Vec<(u64, String)> = Vec::with_capacity(tokens.len());
         let mut slot_count = 0u32;
         for t in tokens {
             let lower = t.to_lowercase();
             if is_slot_word(&lower) {
                 slot_count += 1;
             } else {
-                words.push(lower);
+                words.push((word_hash(&lower), lower));
             }
         }
         words.sort_unstable();
-        let mut counts: Vec<(String, u32)> = Vec::with_capacity(words.len());
-        for w in words {
+        let mut counts: Vec<(u64, String, u32)> = Vec::with_capacity(words.len());
+        for (h, w) in words {
             match counts.last_mut() {
-                Some((prev, c)) if *prev == w => *c += 1,
-                _ => counts.push((w, 1)),
+                Some((ph, pw, c)) if *ph == h && *pw == w => *c += 1,
+                _ => counts.push((h, w, 1)),
             }
         }
         NlSignature { token_count: tokens.len() as u32, slot_count, counts }
@@ -72,12 +85,16 @@ impl NlSignature {
     /// Size of the multiset intersection of the two word multisets.
     pub fn word_overlap(&self, other: &Self) -> u32 {
         let (mut i, mut j, mut total) = (0, 0, 0);
+        fn key(c: &(u64, String, u32)) -> (u64, &str) {
+            (c.0, &c.1)
+        }
         while i < self.counts.len() && j < other.counts.len() {
-            match self.counts[i].0.cmp(&other.counts[j].0) {
+            let (a, b) = (&self.counts[i], &other.counts[j]);
+            match key(a).cmp(&key(b)) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    total += self.counts[i].1.min(other.counts[j].1);
+                    total += a.2.min(b.2);
                     i += 1;
                     j += 1;
                 }
@@ -92,29 +109,47 @@ impl NlSignature {
     /// `MAX_SLOT_WORDS` words, every non-slot token exactly one), and every
     /// non-slot template word must be available in the question multiset.
     pub fn could_fully_align(&self, question: &Self) -> bool {
+        self.in_full_window(question) && self.word_overlap(question) == self.non_slot_count()
+    }
+
+    fn in_full_window(&self, question: &Self) -> bool {
         let min_len = self.token_count;
         let max_len = self.token_count + (MAX_SLOT_WORDS as u32 - 1) * self.slot_count;
         (min_len..=max_len).contains(&question.token_count)
-            && self.word_overlap(question) == self.non_slot_count()
+    }
+
+    /// [`Self::could_fully_align`] and [`Self::phi_upper_bound`] from one
+    /// overlap merge: what the answer path screens and ranks a candidate
+    /// template by.
+    pub fn align_bounds(&self, question: &Self) -> (bool, f64) {
+        let overlap = self.word_overlap(question);
+        let full = self.in_full_window(question) && overlap == self.non_slot_count();
+        (full, self.phi_bound_from(overlap, question))
     }
 
     /// Upper bound on the matching proportion φ that
     /// [`crate::align::partial_align_with_slots`] can report for this
-    /// template over `question`: covered words are exact matches (at most
-    /// the word overlap) plus slot phrases (at most `MAX_SLOT_WORDS` per
-    /// slot), and a valid partial alignment needs at least one exact
-    /// match, so zero overlap caps φ at 0. (The laxer
+    /// template over `question`: `(overlap + slots) / n`.
+    ///
+    /// The bound rests on a lemma: an optimal partial alignment fills
+    /// every slot with exactly one question word. A k-word slot scores
+    /// `63(k - 1)` below skipping k-1 question words and filling the slot
+    /// with one, which reaches the same state. So the alignment covers
+    /// its M matched template words plus one word per slot, and M is at
+    /// most the word overlap. A valid partial alignment needs at least
+    /// one exact match, so zero overlap caps φ at 0. (The laxer
     /// [`crate::align::matching_proportion`] has no exact-match
-    /// requirement and is *not* bounded by this.)
+    /// requirement and lets slots take several words, so it is *not*
+    /// bounded by this.)
     pub fn phi_upper_bound(&self, question: &Self) -> f64 {
-        if question.token_count == 0 {
+        self.phi_bound_from(self.word_overlap(question), question)
+    }
+
+    fn phi_bound_from(&self, overlap: u32, question: &Self) -> f64 {
+        if question.token_count == 0 || overlap == 0 {
             return 0.0;
         }
-        let overlap = self.word_overlap(question);
-        if overlap == 0 {
-            return 0.0;
-        }
-        let covered = (overlap + MAX_SLOT_WORDS as u32 * self.slot_count).min(question.token_count);
+        let covered = (overlap + self.slot_count).min(question.token_count);
         f64::from(covered) / f64::from(question.token_count)
     }
 
@@ -209,8 +244,25 @@ mod tests {
     }
 
     #[test]
+    fn partial_alignment_fills_every_slot_with_one_word() {
+        // The lemma `phi_upper_bound` rests on.
+        let mut slots_seen = 0;
+        for t in samples() {
+            for q in samples().iter().map(|s| slotless(s)) {
+                if let Some((_, slots)) = partial_align_with_slots(&t, &q) {
+                    for slot in &slots {
+                        assert_eq!(slot.len(), 1, "multi-word slot {slot:?}: {t:?} vs {q:?}");
+                    }
+                    slots_seen += slots.len();
+                }
+            }
+        }
+        assert!(slots_seen > 0, "no sampled alignment filled a slot — test is vacuous");
+    }
+
+    #[test]
     fn phi_upper_bound_is_admissible() {
-        let mut nontrivial = 0;
+        let (mut nontrivial, mut tight) = (0, 0);
         for t in samples() {
             let ts = NlSignature::of_tokens(&t);
             for q in samples().iter().map(|s| slotless(s)) {
@@ -222,6 +274,9 @@ mod tests {
                         "partial phi {pphi} > bound {bound}: {t:?} vs {q:?}"
                     );
                     nontrivial += 1;
+                    if pphi == bound && ts.slot_count() > 0 && pphi < 1.0 {
+                        tight += 1;
+                    }
                 }
                 // matching_proportion has no exact-match floor, so only the
                 // coverage part of the bound (overlap + slot capacity) holds.
@@ -235,6 +290,7 @@ mod tests {
             }
         }
         assert!(nontrivial > 0);
+        assert!(tight > 0, "the bound never met a partial phi below 1 — it is not tight");
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! distance metric properties, and alignment consistency.
 
 use proptest::prelude::*;
+use std::ops::Range;
 use uqsj_nlp::align::{
-    align_with_slots, matching_proportion, partial_align_with_slots, SLOT_TOKEN,
+    align_ids, align_with_slots, matching_proportion, partial_align_with_slots, PartialAligner,
+    TokenIds, SLOT_TOKEN,
 };
 use uqsj_nlp::deptree::parse_dependency_tokens;
 use uqsj_nlp::ted::tree_edit_distance;
@@ -11,6 +13,22 @@ use uqsj_nlp::token::tokenize;
 
 const WORDS: [&str; 10] =
     ["which", "actor", "from", "usa", "married", "to", "jordan", "born", "in", "city"];
+
+/// Words that differ only in case, ASCII and not, plus a slot marker and
+/// a word the signature counts as a slot.
+const MIXED: [&str; 14] = [
+    "which", "Which", "WHICH", "from", "FROM", "straße", "STRASSE", "Straße", "é", "É", "über",
+    "ÜBER", "slot1", SLOT_TOKEN,
+];
+
+fn mixed_strategy(max_len: usize) -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(0usize..MIXED.len(), 1..max_len)
+        .prop_map(|ix| ix.into_iter().map(|i| MIXED[i].to_owned()).collect())
+}
+
+fn phrases(question: &[String], spans: &[Range<usize>]) -> Vec<Vec<String>> {
+    spans.iter().map(|r| question[r.clone()].to_vec()).collect()
+}
 
 fn sentence_strategy() -> impl Strategy<Value = Vec<String>> {
     prop::collection::vec(0usize..WORDS.len(), 1..10)
@@ -91,4 +109,99 @@ proptest! {
             prop_assert!(slots.is_empty()); // template had no slots
         }
     }
+
+    #[test]
+    fn partial_alignment_fills_every_slot_with_one_word(
+        template in mixed_strategy(7),
+        question in mixed_strategy(10),
+    ) {
+        // The lemma `NlSignature::phi_upper_bound` and the id aligner rest on.
+        if let Some((_, slots)) = partial_align_with_slots(&template, &question) {
+            for slot in &slots {
+                prop_assert_eq!(slot.len(), 1, "{:?} vs {:?}", template, question);
+            }
+        }
+    }
+
+    #[test]
+    fn id_aligners_equal_the_string_oracles(
+        templates in prop::collection::vec(mixed_strategy(7), 1..4),
+        question in mixed_strategy(10),
+    ) {
+        let mut vocab = TokenIds::default();
+        let encoded: Vec<Vec<u32>> = templates.iter().map(|t| vocab.encode_template(t)).collect();
+        let question_ids = vocab.encode_question(&question);
+        let mut aligner = PartialAligner::default();
+        for (template, ids) in templates.iter().zip(&encoded) {
+            let mut spans = Vec::new();
+            let full = align_ids(ids, &question_ids, &mut spans).then(|| phrases(&question, &spans));
+            prop_assert_eq!(full, align_with_slots(template, &question));
+            spans.clear();
+            let partial = aligner
+                .align(ids, &question_ids, &mut spans)
+                .map(|phi| (phi, phrases(&question, &spans)));
+            prop_assert_eq!(partial, partial_align_with_slots(template, &question));
+        }
+    }
+}
+
+/// Case variants of one word: a template word and a question word match
+/// iff they are ASCII-case-insensitively equal.
+fn case_variant(word: &str, pick: u64) -> String {
+    match pick % 3 {
+        0 => word.to_owned(),
+        1 => word.to_ascii_uppercase(),
+        _ => word.to_uppercase(),
+    }
+}
+
+#[test]
+fn id_aligners_equal_the_oracles_on_templates_cut_from_questions() {
+    // Templates cut from the question itself (some words slotted, some
+    // re-cased, some dropped) align often, so both aligners are
+    // exercised on successes, not just on failures.
+    let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let (mut full_hits, mut partial_hits) = (0, 0);
+    let mut aligner = PartialAligner::default();
+    for _ in 0..2000 {
+        let len = 1 + (next() % 9) as usize;
+        let question: Vec<String> =
+            (0..len).map(|_| MIXED[(next() % (MIXED.len() as u64 - 1)) as usize].into()).collect();
+        let mut template = Vec::new();
+        for word in &question {
+            match next() % 6 {
+                0 => template.push(SLOT_TOKEN.to_owned()),
+                1 => {} // dropped: the question has extra material
+                2 => template.push(case_variant(word, next())),
+                _ => template.push(word.clone()),
+            }
+        }
+        if next() % 4 == 0 {
+            template.push("?".into()); // a template word the question lacks
+        }
+        let mut vocab = TokenIds::default();
+        let ids = vocab.encode_template(&template);
+        let question_ids = vocab.encode_question(&question);
+        let mut spans = Vec::new();
+        let full = align_ids(&ids, &question_ids, &mut spans).then(|| phrases(&question, &spans));
+        assert_eq!(full, align_with_slots(&template, &question), "{template:?} vs {question:?}");
+        full_hits += usize::from(full.is_some());
+        spans.clear();
+        let partial = aligner
+            .align(&ids, &question_ids, &mut spans)
+            .map(|phi| (phi, phrases(&question, &spans)));
+        assert_eq!(
+            partial,
+            partial_align_with_slots(&template, &question),
+            "{template:?} vs {question:?}"
+        );
+        partial_hits += usize::from(partial.is_some_and(|(phi, _)| phi < 1.0));
+    }
+    assert!(full_hits > 100 && partial_hits > 100, "full {full_hits}, partial {partial_hits}");
 }

@@ -98,8 +98,13 @@ impl Registry {
         make: impl FnOnce() -> Handle,
     ) -> Handle {
         let key = (name, render_labels(labels));
-        if let Some(&i) = self.inner.read().expect("registry lock").index.get(&key) {
-            return self.inner.read().expect("registry lock").entries[i].handle.clone();
+        {
+            // One read guard: taking a second read lock while holding the
+            // first deadlocks once a writer queues between the two.
+            let inner = self.inner.read().expect("registry lock");
+            if let Some(&i) = inner.index.get(&key) {
+                return inner.entries[i].handle.clone();
+            }
         }
         let mut inner = self.inner.write().expect("registry lock");
         if let Some(&i) = inner.index.get(&key) {

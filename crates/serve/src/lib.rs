@@ -3,13 +3,13 @@
 //! The batch pipeline (`uqsj::pipeline`) produces a `TemplateLibrary`
 //! offline; this crate turns that artifact into a long-lived service:
 //!
-//! - [`TemplateStore`]: signature index over templates (token-count window
-//!   and label-multiset bounds) so each question is verified against a
-//!   pruned candidate set instead of the whole library.
+//! - [`TemplateStore`]: signature index over templates (token-count window,
+//!   word-multiset containment and the φ bound) so each question is
+//!   verified against a pruned candidate set instead of the whole library.
 //! - [`ShardedQaServer`]: the one serving core — the library partitioned
 //!   into shards by NL-pattern hash, a bounded LRU answer cache, a
 //!   `crossbeam`-scoped `answer_batch`, EXPLAIN reports, and
-//!   latency/candidate metrics. Answers equal the linear scan
+//!   latency/candidate metrics. Answers equal the unfiltered
 //!   `uqsj_template::answer_question` over the shard libraries
 //!   concatenated in shard order.
 //! - [`Ingestor`]: incremental SimJ of a newly arrived question against the

@@ -115,9 +115,12 @@ pub struct QueryReport {
     pub shards_touched: usize,
     /// End-to-end answer latency, microseconds.
     pub total_us: u64,
-    /// The serving funnel: `signature` (library -> candidates), `align`
-    /// (candidates -> aligned), `ted` (aligned -> chosen). Pruned counts
-    /// plus the chosen template sum back to the library size.
+    /// The serving funnel: `signature` (library -> candidates), `bound`
+    /// (candidates -> examined; prunes the candidates best-first
+    /// alignment never reached), `align` (examined -> aligned), `ted`
+    /// (aligned -> chosen; its time includes filling and executing the
+    /// tried templates). Pruned counts plus the chosen template sum back
+    /// to the library size.
     pub stages: Vec<StageReport>,
     /// Exact tree-edit-distance computations spent ranking.
     pub ted_computed: u64,

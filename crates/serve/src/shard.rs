@@ -65,7 +65,9 @@ use uqsj_obs::{span, Gauge, Histogram};
 use uqsj_rdf::TripleStore;
 use uqsj_storage::snapshot::sync_parent_dir;
 use uqsj_storage::{StorageEngine, StorageError};
-use uqsj_template::{answer_across, CandidateRef, QaOutcome, Template, TemplateLibrary};
+use uqsj_template::{
+    answer_across, AnswerStats, CandidateRef, QaOutcome, Template, TemplateLibrary,
+};
 
 /// How many worst-latency reports the slow-query log retains.
 const SLOW_LOG_CAPACITY: usize = 32;
@@ -217,6 +219,50 @@ fn quarantine(dir: &Path) -> Result<(), StorageError> {
     };
     std::fs::rename(dir, &target)?;
     sync_parent_dir(dir)
+}
+
+/// The serving funnel of one answered question: `signature` (library ->
+/// candidates), `bound` (candidates -> examined, the ones best-first
+/// alignment reached), `align` (examined -> aligned), `ted` (aligned ->
+/// chosen). The pruned counts
+/// plus the chosen template sum back to the library size, so EXPLAIN
+/// output reconciles with the aggregated `uqsj_serve_*` counters.
+fn answer_stages(
+    library_size: usize,
+    candidates: usize,
+    filter_us: u64,
+    stats: &AnswerStats,
+    chosen: bool,
+) -> Vec<StageReport> {
+    let examined = stats.candidates_examined as u64;
+    let aligned = stats.candidates_aligned as u64;
+    let candidates = candidates as u64;
+    vec![
+        StageReport {
+            label: "signature",
+            input: library_size as u64,
+            pruned: (library_size as u64).saturating_sub(candidates),
+            us: filter_us,
+        },
+        StageReport {
+            label: "bound",
+            input: candidates,
+            pruned: stats.candidates_skipped as u64,
+            us: stats.bound_time.as_micros() as u64,
+        },
+        StageReport {
+            label: "align",
+            input: examined,
+            pruned: examined.saturating_sub(aligned),
+            us: stats.align_time.as_micros() as u64,
+        },
+        StageReport {
+            label: "ted",
+            input: aligned,
+            pruned: aligned.saturating_sub(u64::from(chosen)),
+            us: stats.ted_time.as_micros() as u64,
+        },
+    ]
 }
 
 /// Partition a library into per-shard stores by NL-pattern hash.
@@ -470,7 +516,6 @@ impl ShardedQaServer {
         let filter_us = filter_started.elapsed().as_micros() as u64;
         let n_candidates = candidates.len();
         let libraries: Vec<&TemplateLibrary> = guards.iter().map(|g| g.library()).collect();
-        let rank_started = Instant::now();
         let (multi, stats) = {
             let _span = span("serve.rank");
             answer_across(
@@ -482,18 +527,11 @@ impl ShardedQaServer {
                 self.config.min_phi,
             )
         };
-        let rank_us = rank_started.elapsed().as_micros() as u64;
         drop(guards);
         let elapsed = started.elapsed();
         self.metrics.record_miss(elapsed, n_candidates, library_size, stats.ted_computed);
         self.shard_touched.observe(shards_touched as u64);
         self.cache.lock().put_at(generation, key, (multi.outcome.clone(), multi.library));
-        // The serving funnel: pruned counts plus the chosen template sum
-        // back to the library size, so EXPLAIN output reconciles with the
-        // aggregated `uqsj_serve_*` counters.
-        let examined = stats.candidates_examined as u64;
-        let aligned = stats.candidates_aligned as u64;
-        let chosen = u64::from(multi.outcome.template_index.is_some());
         let report = QueryReport {
             trace_id,
             question: question.to_owned(),
@@ -501,26 +539,13 @@ impl ShardedQaServer {
             shard: multi.library,
             shards_touched,
             total_us: elapsed.as_micros() as u64,
-            stages: vec![
-                StageReport {
-                    label: "signature",
-                    input: library_size as u64,
-                    pruned: (library_size as u64).saturating_sub(examined),
-                    us: filter_us,
-                },
-                StageReport {
-                    label: "align",
-                    input: examined,
-                    pruned: examined.saturating_sub(aligned),
-                    us: rank_us,
-                },
-                StageReport {
-                    label: "ted",
-                    input: aligned,
-                    pruned: aligned.saturating_sub(chosen),
-                    us: 0,
-                },
-            ],
+            stages: answer_stages(
+                library_size,
+                n_candidates,
+                filter_us,
+                &stats,
+                multi.outcome.template_index.is_some(),
+            ),
             ted_computed: stats.ted_computed as u64,
             answers: multi.outcome.answers.len(),
             phi: multi.outcome.phi,
@@ -738,6 +763,66 @@ mod tests {
         let a: Vec<String> = ["ab", "c"].map(String::from).to_vec();
         let b: Vec<String> = ["a", "bc"].map(String::from).to_vec();
         assert_ne!(route_hash(&a), route_hash(&b));
+    }
+
+    /// "Which <_> <word> <word> <_> ?" against `predicate`.
+    fn two_slot_template(words: [&str; 2], predicate: &str) -> Template {
+        use uqsj_sparql::{SparqlQuery, Term, Triple};
+        use uqsj_template::template::{slot_term, SlotBinding};
+        let sparql = SparqlQuery {
+            select: vec!["x".into()],
+            triples: vec![
+                Triple {
+                    subject: Term::Var("x".into()),
+                    predicate: Term::Iri("type".into()),
+                    object: slot_term(0),
+                },
+                Triple {
+                    subject: Term::Var("x".into()),
+                    predicate: Term::Iri(predicate.into()),
+                    object: slot_term(1),
+                },
+            ],
+        };
+        let tokens = ["Which", "<_>", words[0], words[1], "<_>", "?"];
+        Template::new(
+            tokens.map(String::from).to_vec(),
+            sparql,
+            vec![SlotBinding::Bound, SlotBinding::Bound],
+            0.9,
+        )
+    }
+
+    #[test]
+    fn explain_funnel_reconciles_when_best_first_skips_candidates() {
+        let mut library = TemplateLibrary::new();
+        library.add(two_slot_template(["graduated", "from"], "graduatedFrom"));
+        // These two pass the signature filter (bound 4/6 >= 0.5) but rank
+        // below the full match above, whose fill succeeds: never aligned.
+        library.add(two_slot_template(["born", "in"], "bornIn"));
+        library.add(two_slot_template(["works", "at"], "worksAt"));
+        let mut lexicon = uqsj_nlp::lexicon::paper_lexicon();
+        lexicon.add_class("physicist", "Physicist");
+        let mut triples = TripleStore::new();
+        triples.insert("Alice", "type", "Physicist");
+        triples.insert("Alice", "graduatedFrom", "Carnegie_Mellon_University");
+        triples.ensure_indexes();
+        let config = ServeConfig { min_phi: 0.5, cache_capacity: 0, bgp_eval: None };
+        let server = ShardedQaServer::new(library, lexicon, triples, 2, config);
+
+        let (answer, report) = server.answer_explained("Which physicist graduated from CMU?");
+        assert_eq!(answer.outcome.answers, ["Alice"]);
+        let labels: Vec<&str> = report.stages.iter().map(|s| s.label).collect();
+        assert_eq!(labels, ["signature", "bound", "align", "ted"]);
+        let bound = &report.stages[1];
+        assert_eq!((bound.input, bound.pruned), (3, 2), "both weaker templates are skipped");
+        // Each stage's input is what the previous one let through.
+        for pair in report.stages.windows(2) {
+            assert_eq!(pair[1].input, pair[0].input - pair[0].pruned, "{:?}", report.stages);
+        }
+        let pruned: u64 = report.stages.iter().map(|s| s.pruned).sum();
+        let chosen = u64::from(report.template_index.is_some());
+        assert_eq!(pruned + chosen, server.template_count() as u64);
     }
 
     #[test]

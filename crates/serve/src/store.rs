@@ -1,8 +1,9 @@
-//! The indexed template store: a [`TemplateLibrary`] plus one
-//! [`NlSignature`] per template and a token-count-sorted window index, so
-//! an incoming question verifies alignment and TED only against templates
+//! The indexed template store: a [`TemplateLibrary`] plus a
+//! token-count-sorted window index over its templates' signatures, so an
+//! incoming question verifies alignment and TED only against templates
 //! that could possibly match — the serving-side analogue of
-//! `uqsj_simjoin::JoinIndex` on the join side.
+//! `uqsj_simjoin::JoinIndex` on the join side. The signatures themselves
+//! live in the library ([`TemplateLibrary::signatures`]).
 
 use uqsj_nlp::signature::NlSignature;
 use uqsj_template::{Template, TemplateLibrary};
@@ -11,8 +12,6 @@ use uqsj_template::{Template, TemplateLibrary};
 #[derive(Debug, Default)]
 pub struct TemplateStore {
     library: TemplateLibrary,
-    /// `signatures[i]` summarizes `library.templates()[i].nl_tokens`.
-    signatures: Vec<NlSignature>,
     /// `(token_count, template index)` sorted — the window index: a
     /// question of `n` tokens can only fully align with templates of at
     /// most `n` tokens (every non-slot token consumes one question token,
@@ -28,36 +27,28 @@ impl TemplateStore {
 
     /// Index an existing library.
     pub fn from_library(library: TemplateLibrary) -> Self {
-        let mut store = Self::new();
-        for i in 0..library.len() {
-            store.index_template(&library.templates()[i], i);
+        let mut store = Self { library, by_len: Vec::new() };
+        for i in 0..store.library.len() {
+            store.index_template(i);
         }
-        store.library = library;
         store
     }
 
-    fn index_template(&mut self, t: &Template, index: usize) {
-        let sig = NlSignature::of_tokens(&t.nl_tokens);
-        let entry = (sig.token_count(), index as u32);
+    /// Add template `index` of the library to the window index.
+    fn index_template(&mut self, index: usize) {
+        let entry = (self.library.signatures()[index].token_count(), index as u32);
         let pos = self.by_len.partition_point(|&e| e < entry);
         self.by_len.insert(pos, entry);
-        debug_assert_eq!(self.signatures.len(), index);
-        self.signatures.push(sig);
     }
 
     /// Insert a template into the live store, keeping the index in sync.
-    /// Returns `false` when the library deduplicated it (the signature set
-    /// is unchanged — an identical pattern is already indexed).
+    /// Returns `false` when the library deduplicated it (the index is
+    /// unchanged — an identical pattern is already indexed).
     pub fn insert(&mut self, t: Template) -> bool {
-        let sig = NlSignature::of_tokens(&t.nl_tokens);
-        let index = self.library.len();
         if !self.library.add(t) {
             return false;
         }
-        let entry = (sig.token_count(), index as u32);
-        let pos = self.by_len.partition_point(|&e| e < entry);
-        self.by_len.insert(pos, entry);
-        self.signatures.push(sig);
+        self.index_template(self.library.len() - 1);
         true
     }
 
@@ -83,6 +74,7 @@ impl TemplateStore {
     /// below threshold), so [`uqsj_template::answer_across`] over this set
     /// returns exactly what the full scan would.
     pub fn candidates(&self, question: &NlSignature, min_phi: f64) -> Vec<usize> {
+        let signatures = self.library.signatures();
         if min_phi >= 1.0 {
             // Full matches only: walk the token-count window m <= n.
             let n = question.token_count();
@@ -90,18 +82,19 @@ impl TemplateStore {
             let mut out: Vec<usize> = self.by_len[..hi]
                 .iter()
                 .map(|&(_, i)| i as usize)
-                .filter(|&i| self.signatures[i].could_fully_align(question))
+                .filter(|&i| signatures[i].could_fully_align(question))
                 .collect();
             out.sort_unstable();
             return out;
         }
-        // Partial mode: the φ upper bound screens every template; the
-        // window check still short-circuits full-align survivors.
-        self.signatures
+        // Partial mode: a template stays if it could fully align or its
+        // φ upper bound reaches `min_phi`.
+        signatures
             .iter()
             .enumerate()
             .filter(|(_, sig)| {
-                sig.could_fully_align(question) || sig.phi_upper_bound(question) + 1e-12 >= min_phi
+                let (full, bound) = sig.align_bounds(question);
+                full || bound + 1e-12 >= min_phi
             })
             .map(|(i, _)| i)
             .collect()
@@ -143,7 +136,7 @@ mod tests {
         // Duplicate: library dedups, index must not grow.
         assert!(!store.insert(template(&["Who", "is", "married", "to", "<_>", "?"], "q")));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.signatures.len(), 2);
+        assert_eq!(store.library.signatures().len(), 2);
         assert_eq!(store.by_len.len(), 2);
     }
 
@@ -165,7 +158,7 @@ mod tests {
         lib.add(template(&["Who", "graduated", "from", "<_>", "?"], "q"));
         let store = TemplateStore::from_library(lib);
         assert_eq!(store.len(), 2);
-        assert_eq!(store.signatures.len(), 2);
+        assert_eq!(store.library.signatures().len(), 2);
         assert_eq!(store.by_len.len(), 2);
     }
 }

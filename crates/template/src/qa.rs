@@ -3,19 +3,33 @@
 //! linking, and SPARQL execution.
 
 use crate::template::{slot_index, SlotBinding, Template};
-use uqsj_nlp::align::{align_with_slots, partial_align_with_slots};
+use std::ops::Range;
+use std::time::{Duration, Instant};
+use uqsj_nlp::align::{align_ids, PartialAligner, TokenIds};
 use uqsj_nlp::deptree::parse_dependency_tokens;
 use uqsj_nlp::signature::NlSignature;
 use uqsj_nlp::ted::tree_edit_distance;
 use uqsj_nlp::token::tokenize;
-use uqsj_nlp::Lexicon;
+use uqsj_nlp::{DepTree, Lexicon};
 use uqsj_rdf::TripleStore;
 use uqsj_sparql::{SparqlQuery, Term};
 
+pub mod reference;
+
 /// A deduplicated set of templates.
+///
+/// Beside each template the library keeps what the answer path derives
+/// from its NL pattern: the [`NlSignature`] and the tokens as
+/// [`TokenIds`] ids. [`TemplateLibrary::add`] builds them, so they are
+/// rebuilt on every load and never persisted.
 #[derive(Debug, Default)]
 pub struct TemplateLibrary {
     templates: Vec<Template>,
+    /// `signatures[i]` summarizes `templates[i].nl_tokens`.
+    signatures: Vec<NlSignature>,
+    /// `token_ids[i]` is `templates[i].nl_tokens` encoded by `vocab`.
+    token_ids: Vec<Vec<u32>>,
+    vocab: TokenIds,
 }
 
 impl TemplateLibrary {
@@ -34,6 +48,8 @@ impl TemplateLibrary {
             }
             return false;
         }
+        self.signatures.push(NlSignature::of_tokens(&t.nl_tokens));
+        self.token_ids.push(self.vocab.encode_template(&t.nl_tokens));
         self.templates.push(t);
         true
     }
@@ -51,6 +67,11 @@ impl TemplateLibrary {
     /// The templates.
     pub fn templates(&self) -> &[Template] {
         &self.templates
+    }
+
+    /// The signature of each template's NL pattern, in template order.
+    pub fn signatures(&self) -> &[NlSignature] {
+        &self.signatures
     }
 }
 
@@ -70,8 +91,10 @@ pub struct QaOutcome {
 /// Answer a question with the library. `min_phi` is the Table-5 knob:
 /// `1.0` requires a full template match; lower values admit partial
 /// matches ("we can also generate SPARQL queries based on this partial
-/// match", Appendix F.2). A linear scan over every template: the oracle
-/// the serving layer's signature-filtered path is tested against.
+/// match", Appendix F.2). Every template is a candidate: this is the
+/// unfiltered path the serving layer's signature-filtered one is tested
+/// against. [`reference::eager_answer`] is the eager oracle both must
+/// equal.
 pub fn answer_question(
     library: &TemplateLibrary,
     lexicon: &Lexicon,
@@ -84,15 +107,27 @@ pub fn answer_question(
 }
 
 /// Verification-side counters reported by [`answer_across`], consumed by
-/// the serving layer's metrics.
+/// the serving layer's metrics and EXPLAIN funnel. Every candidate is
+/// either skipped or examined.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AnswerStats {
+    /// Candidates never aligned: their φ bound fell below `min_phi`, or
+    /// below the φ of a group whose fill succeeded.
+    pub candidates_skipped: usize,
     /// Candidate templates examined (alignment attempted).
     pub candidates_examined: usize,
-    /// Candidates that survived alignment and entered TED ranking.
+    /// Candidates that aligned with φ ≥ `min_phi` and entered TED ranking.
     pub candidates_aligned: usize,
     /// Exact tree-edit-distance computations performed.
     pub ted_computed: usize,
+    /// Time spent parsing the question and bounding and ordering the
+    /// candidates.
+    pub bound_time: Duration,
+    /// Time spent aligning candidates.
+    pub align_time: Duration,
+    /// Time spent ranking equal-φ groups by TED and filling and executing
+    /// their templates.
+    pub ted_time: Duration,
 }
 
 /// One aligned candidate awaiting TED ranking.
@@ -102,7 +137,8 @@ struct Aligned {
     index: usize,
     phi: f64,
     confidence: f64,
-    slots: Vec<Vec<String>>,
+    /// The candidate's slot spans, as a range of the call's span arena.
+    slots: Range<usize>,
     ted_lb: u32,
 }
 
@@ -128,23 +164,47 @@ pub struct MultiAnswer {
     pub library: Option<usize>,
 }
 
+/// A candidate with its φ bound, waiting to be aligned.
+struct Bounded {
+    bound: f64,
+    /// Whether the signature admits a full alignment.
+    full: bool,
+    candidate: CandidateRef,
+}
+
+/// What [`try_group`] needs to know about the question and the store.
+struct Ranking<'a> {
+    libraries: &'a [&'a TemplateLibrary],
+    lexicon: &'a Lexicon,
+    store: &'a TripleStore,
+    tokens: &'a [String],
+    tree: &'a DepTree,
+}
+
 /// Answer a question by ranking candidates drawn from *several* libraries
-/// at once — the sharded template store's merge path; the linear scan
-/// [`answer_question`] passes one library and every index. The total
-/// order is (φ desc, TED asc, confidence desc, (library, index) asc): for
-/// a sharded store it equals ranking the concatenation of the shard
-/// libraries in shard order. Candidates must arrive in ascending
-/// (library, index) order for the equal-φ tiebreak to hold, and must
-/// include every template that can align (the serving layer passes a
-/// signature-pruned subset) for the outcome to equal the linear scan's.
+/// at once — the sharded template store's merge path; [`answer_question`]
+/// passes one library and every index. The total order is (φ desc, TED
+/// asc, confidence desc, (library, index) asc): for a sharded store it
+/// equals ranking the concatenation of the shard libraries in shard
+/// order. The candidates may arrive in any order, but must include every
+/// template that can align (the serving layer passes a signature-pruned
+/// subset) for the outcome to equal the unfiltered one.
+///
+/// Alignment runs best-first. Each candidate's φ is bounded from the
+/// signatures — 1 when it could fully align, else
+/// [`NlSignature::phi_upper_bound`] — and candidates whose bound is below
+/// `min_phi` are skipped. The rest are aligned lazily in order of bound
+/// desc, then (library, index) asc. An equal-φ group is ranked only once
+/// no unaligned candidate's bound reaches its φ, so it holds exactly the
+/// members and order the eager oracle ([`reference::eager_answer`])
+/// gives it. The first group whose fill succeeds answers; candidates not
+/// yet aligned then are never aligned.
 ///
 /// TED — the expensive step (O(n²·m²) Zhang–Shasha) — is evaluated
-/// lazily: candidates within an equal-φ group are verified best-first by
-/// their signature lower bound, and a candidate's exact TED is only
+/// lazily too: candidates within an equal-φ group are verified best-first
+/// by their signature lower bound, and a candidate's exact TED is only
 /// computed when the bound says it could still precede the current best.
-/// Singleton groups skip TED entirely. Since `fill_and_execute` usually
-/// succeeds on the first ranked candidate, most TED work is skipped
-/// without changing any answer.
+/// Singleton groups skip TED entirely.
 pub fn answer_across(
     libraries: &[&TemplateLibrary],
     candidates: impl IntoIterator<Item = CandidateRef>,
@@ -153,90 +213,125 @@ pub fn answer_across(
     question: &str,
     min_phi: f64,
 ) -> (MultiAnswer, AnswerStats) {
+    let started = Instant::now();
     let mut stats = AnswerStats::default();
     let tokens = tokenize(question);
     if tokens.is_empty() {
+        stats.candidates_skipped = candidates.into_iter().count();
         return (MultiAnswer::default(), stats);
     }
     let question_tree = parse_dependency_tokens(&tokens);
     let question_sig = NlSignature::of_tokens(&tokens);
 
-    // Alignment pass over the candidate set, in ascending (library, index)
-    // order.
-    let mut aligned: Vec<Aligned> = Vec::new();
-    for c in candidates {
-        let t = &libraries[c.library].templates()[c.index];
-        stats.candidates_examined += 1;
-        let hit = if let Some(slots) = align_with_slots(&t.nl_tokens, &tokens) {
-            Some((1.0, slots))
+    let mut queue: Vec<Bounded> = Vec::new();
+    for candidate in candidates {
+        let sig = &libraries[candidate.library].signatures[candidate.index];
+        let (full, partial_bound) = sig.align_bounds(&question_sig);
+        let bound = if full {
+            1.0
         } else if min_phi < 1.0 {
-            partial_align_with_slots(&t.nl_tokens, &tokens)
-                .filter(|(phi, _)| phi + 1e-12 >= min_phi)
+            partial_bound
+        } else {
+            0.0 // full matches only, and this one cannot fully align
+        };
+        if bound + 1e-12 >= min_phi {
+            queue.push(Bounded { bound, full, candidate });
+        } else {
+            stats.candidates_skipped += 1;
+        }
+    }
+    queue.sort_by(|a, b| {
+        let key = |x: &Bounded| (x.candidate.library, x.candidate.index);
+        b.bound.total_cmp(&a.bound).then(key(a).cmp(&key(b)))
+    });
+    stats.bound_time = started.elapsed();
+
+    let ranking = Ranking { libraries, lexicon, store, tokens: &tokens, tree: &question_tree };
+    // Question ids per library, encoded on first use.
+    let mut question_ids: Vec<Option<Vec<u32>>> = vec![None; libraries.len()];
+    let mut aligner = PartialAligner::default();
+    let mut spans: Vec<Range<usize>> = Vec::new();
+    // Aligned candidates whose group has not been ranked yet.
+    let mut aligned: Vec<Aligned> = Vec::new();
+    let mut next = 0;
+    let answer = loop {
+        let next_bound = queue.get(next).map(|b| b.bound);
+        let top_phi = aligned.iter().map(|a| a.phi).max_by(f64::total_cmp);
+        if let Some(phi) = top_phi.filter(|&phi| !next_bound.is_some_and(|b| b >= phi)) {
+            // No unaligned candidate can reach φ: the group is complete.
+            let (mut group, rest): (Vec<Aligned>, Vec<Aligned>) =
+                aligned.into_iter().partition(|a| a.phi == phi);
+            aligned = rest;
+            let ted_started = Instant::now();
+            let hit = try_group(&ranking, &mut group, &spans, &mut stats);
+            stats.ted_time += ted_started.elapsed();
+            if hit.is_some() {
+                break hit;
+            }
+            continue;
+        }
+        let Some(Bounded { full, candidate: c, .. }) = queue.get(next) else {
+            break None;
+        };
+        next += 1;
+        stats.candidates_examined += 1;
+        let library = libraries[c.library];
+        let template_ids = &library.token_ids[c.index];
+        let question_ids =
+            question_ids[c.library].get_or_insert_with(|| library.vocab.encode_question(&tokens));
+        let mark = spans.len();
+        let phi = if *full && align_ids(template_ids, question_ids, &mut spans) {
+            Some(1.0)
+        } else if min_phi < 1.0 {
+            aligner
+                .align(template_ids, question_ids, &mut spans)
+                .filter(|phi| phi + 1e-12 >= min_phi)
         } else {
             None
         };
-        if let Some((phi, slots)) = hit {
-            let ted_lb = NlSignature::of_tokens(&t.nl_tokens).ted_lower_bound(&question_sig);
-            aligned.push(Aligned {
-                lib: c.library,
-                index: c.index,
-                phi,
-                confidence: t.confidence,
-                slots,
-                ted_lb,
-            });
-        }
-    }
-    stats.candidates_aligned = aligned.len();
-
-    // Stable sort by φ descending keeps ascending (library, index) order
-    // within each equal-φ group, so group processing below reproduces the
-    // original (φ, TED, confidence, insertion-order) total order.
-    aligned.sort_by(|a, b| b.phi.partial_cmp(&a.phi).expect("phi is finite"));
-
-    let mut start = 0;
-    while start < aligned.len() {
-        let mut end = start + 1;
-        while end < aligned.len() && aligned[end].phi == aligned[start].phi {
-            end += 1;
-        }
-        if let Some(answer) = try_group(
-            libraries,
-            &mut aligned[start..end],
-            &question_tree,
-            lexicon,
-            store,
-            &mut stats,
-        ) {
-            return (answer, stats);
-        }
-        start = end;
-    }
-    (MultiAnswer::default(), stats)
+        let Some(phi) = phi else {
+            spans.truncate(mark);
+            continue;
+        };
+        stats.candidates_aligned += 1;
+        aligned.push(Aligned {
+            lib: c.library,
+            index: c.index,
+            phi,
+            confidence: library.templates[c.index].confidence,
+            slots: mark..spans.len(),
+            ted_lb: library.signatures[c.index].ted_lower_bound(&question_sig),
+        });
+    };
+    stats.candidates_skipped += queue.len() - next;
+    stats.align_time = started.elapsed().saturating_sub(stats.bound_time + stats.ted_time);
+    (answer.unwrap_or_default(), stats)
 }
 
 /// Try every candidate of one equal-φ group in exact (TED asc, confidence
 /// desc, index asc) order, computing exact TEDs only when the signature
 /// lower bound cannot already separate candidates.
 fn try_group(
-    libraries: &[&TemplateLibrary],
+    ranking: &Ranking,
     group: &mut [Aligned],
-    question_tree: &uqsj_nlp::DepTree,
-    lexicon: &Lexicon,
-    store: &TripleStore,
+    spans: &[Range<usize>],
     stats: &mut AnswerStats,
 ) -> Option<MultiAnswer> {
     let attempt = |c: &Aligned| -> Option<MultiAnswer> {
-        let template = &libraries[c.lib].templates()[c.index];
-        fill_and_execute(template, &c.slots, lexicon, store).map(|(sparql, answers)| MultiAnswer {
-            outcome: QaOutcome {
-                sparql: Some(sparql),
-                answers,
-                template_index: Some(c.index),
-                phi: c.phi,
+        let template = &ranking.libraries[c.lib].templates()[c.index];
+        let phrases: Vec<String> =
+            spans[c.slots.clone()].iter().map(|r| ranking.tokens[r.clone()].join(" ")).collect();
+        fill_and_execute(template, &phrases, ranking.lexicon, ranking.store).map(
+            |(sparql, answers)| MultiAnswer {
+                outcome: QaOutcome {
+                    sparql: Some(sparql),
+                    answers,
+                    template_index: Some(c.index),
+                    phi: c.phi,
+                },
+                library: Some(c.lib),
             },
-            library: Some(c.lib),
-        })
+        )
     };
 
     if let [single] = group {
@@ -257,8 +352,8 @@ fn try_group(
             if best_ted.is_some_and(|b| next.ted_lb > b) {
                 break;
             }
-            let template = &libraries[next.lib].templates()[next.index];
-            let ted = tree_edit_distance(&template.dep_tree, question_tree);
+            let template = &ranking.libraries[next.lib].templates()[next.index];
+            let ted = tree_edit_distance(&template.dep_tree, ranking.tree);
             stats.ted_computed += 1;
             verified.push((ted, next));
             unverified.pop_front();
@@ -288,24 +383,25 @@ fn try_group(
 /// is empty, the most confident instantiation is returned. This is where
 /// template-based Q/A beats direct translation — the SPARQL pattern
 /// supplies enough context to reject linkings the data contradicts.
+/// `phrases[i]` is the question phrase slot `i` captured, its words
+/// joined by single spaces.
 fn fill_and_execute(
     template: &Template,
-    slot_phrases: &[Vec<String>],
+    phrases: &[String],
     lexicon: &Lexicon,
     store: &TripleStore,
 ) -> Option<(SparqlQuery, Vec<String>)> {
     // Ranked candidate lists per slot (entities by confidence, or the
     // class resolution).
-    let mut options: Vec<Vec<(String, f64)>> = Vec::with_capacity(slot_phrases.len());
-    for (i, phrase_tokens) in slot_phrases.iter().enumerate() {
+    let mut options: Vec<Vec<(String, f64)>> = Vec::with_capacity(phrases.len());
+    for (i, phrase) in phrases.iter().enumerate() {
         if template.slots.get(i) != Some(&SlotBinding::Bound) {
             options.push(vec![(String::new(), 1.0)]); // unused slot
             continue;
         }
-        let phrase = phrase_tokens.join(" ");
-        let mut cands: Vec<(String, f64)> = match lexicon.link(&phrase) {
+        let mut cands: Vec<(String, f64)> = match lexicon.link(phrase) {
             Some(cs) => cs.iter().map(|c| (c.entity.clone(), c.prob)).collect(),
-            None => match lexicon.class_of_noun(&phrase) {
+            None => match lexicon.class_of_noun(phrase) {
                 Some(class) => vec![(class.to_owned(), 1.0)],
                 None => return None,
             },
@@ -499,53 +595,6 @@ mod tests {
         assert!((lib.templates()[0].confidence - 0.99).abs() < 1e-12);
     }
 
-    /// The pre-refactor ranking: compute every candidate's TED eagerly,
-    /// then one stable 3-key sort. Kept here as the reference oracle for
-    /// the lazy best-first verification in `answer_across`.
-    fn eager_answer(
-        library: &TemplateLibrary,
-        lexicon: &Lexicon,
-        store: &TripleStore,
-        question: &str,
-        min_phi: f64,
-    ) -> QaOutcome {
-        let tokens = tokenize(question);
-        if tokens.is_empty() {
-            return QaOutcome::default();
-        }
-        let question_tree = parse_dependency_tokens(&tokens);
-        #[allow(clippy::type_complexity)]
-        let mut candidates: Vec<(usize, f64, u32, Vec<Vec<String>>)> = Vec::new();
-        for (i, t) in library.templates().iter().enumerate() {
-            if let Some(slots) = align_with_slots(&t.nl_tokens, &tokens) {
-                let ted = tree_edit_distance(&t.dep_tree, &question_tree);
-                candidates.push((i, 1.0, ted, slots));
-            } else if min_phi < 1.0 {
-                if let Some((phi, slots)) = partial_align_with_slots(&t.nl_tokens, &tokens) {
-                    if phi + 1e-12 >= min_phi {
-                        let ted = tree_edit_distance(&t.dep_tree, &question_tree);
-                        candidates.push((i, phi, ted, slots));
-                    }
-                }
-            }
-        }
-        candidates.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).expect("phi is finite").then(a.2.cmp(&b.2)).then(
-                library.templates()[b.0]
-                    .confidence
-                    .partial_cmp(&library.templates()[a.0].confidence)
-                    .expect("confidence is finite"),
-            )
-        });
-        for (i, phi, _, slots) in candidates {
-            let template = &library.templates()[i];
-            if let Some((sparql, answers)) = fill_and_execute(template, &slots, lexicon, store) {
-                return QaOutcome { sparql: Some(sparql), answers, template_index: Some(i), phi };
-            }
-        }
-        QaOutcome::default()
-    }
-
     /// Several templates sharing token structure so that equal-φ groups
     /// have more than one member and the lazy TED path actually has
     /// ordering decisions to make.
@@ -613,7 +662,7 @@ mod tests {
         ];
         for q in questions {
             for min_phi in [1.0, 0.6, 0.3] {
-                let want = eager_answer(&lib, &lex, &store, q, min_phi);
+                let want = reference::eager_answer(&lib, &lex, &store, q, min_phi);
                 let candidates = (0..lib.len()).map(|index| CandidateRef { library: 0, index });
                 let (got, stats) = answer_across(&[&lib], candidates, &lex, &store, q, min_phi);
                 let got = got.outcome;
@@ -629,6 +678,7 @@ mod tests {
                     stats.ted_computed <= stats.candidates_aligned,
                     "lazy path must never exceed one TED per aligned candidate"
                 );
+                assert_eq!(stats.candidates_skipped + stats.candidates_examined, lib.len());
             }
         }
     }
