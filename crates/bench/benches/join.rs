@@ -46,10 +46,7 @@ fn bench_join(c: &mut Criterion) {
         });
     }
     group.bench_function("simj_parallel_4", |b| {
-        b.iter(|| uqsj::simjoin::sim_join_parallel(&table, &d, &u, JoinParams::simj(2, 0.5), 4))
-    });
-    group.bench_function("simj_indexed", |b| {
-        b.iter(|| uqsj::simjoin::sim_join_indexed(&table, &d, &u, JoinParams::simj(2, 0.5)))
+        b.iter(|| uqsj::simjoin::JoinIndex::build(&d).join(&table, &u, JoinParams::simj(2, 0.5), 4))
     });
     group.bench_function("topk_1", |b| {
         b.iter(|| uqsj::simjoin::sim_join_topk(&table, &d, &u, 2, 1))

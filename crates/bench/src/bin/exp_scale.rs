@@ -1,19 +1,20 @@
 //! Scaling: join response time vs |D| (the dimension the paper pushes to
-//! 73,057 queries), comparing the plain nested-loop SimJ against the
-//! size-indexed driver. Result sets are identical (property-tested
-//! elsewhere); only where the structural pruning cost is paid differs.
+//! 73,057 queries), comparing the join driver on one thread (`sim_join`,
+//! the paper's sequential accounting) against the same driver on every
+//! available core. The matches must be identical, order included.
 
 use uqsj::prelude::*;
-use uqsj::simjoin::sim_join_indexed;
+use uqsj::simjoin::JoinIndex;
 use uqsj::workload::DatasetConfig;
 use uqsj_bench::{scale, scaled, secs};
 
 fn main() {
     let s = scale();
-    println!("Join scaling — tau = 1, alpha = 0.8, |U| fixed\n");
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("Join scaling — tau = 1, alpha = 0.8, |U| fixed, {threads} threads\n");
     println!(
         "{:>7} {:>7} | {:>11} {:>11} | {:>9} {:>9}",
-        "|D|", "|U|", "plain(s)", "indexed(s)", "results", "agree"
+        "|D|", "|U|", "1 thread(s)", "parallel(s)", "results", "agree"
     );
     for d_target in [250usize, 500, 1000, 2000] {
         let d_target = scaled(d_target, s, 100);
@@ -25,29 +26,27 @@ fn main() {
         });
         let params = JoinParams::simj(1, 0.8);
         let started = std::time::Instant::now();
-        let (plain, _) = sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
-        let plain_t = started.elapsed();
+        let (sequential, _) =
+            sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
+        let sequential_t = started.elapsed();
         let started = std::time::Instant::now();
-        let (indexed, _) =
-            sim_join_indexed(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
-        let indexed_t = started.elapsed();
-        let agree = {
-            let key = |m: &JoinMatch| (m.g_index, m.q_index);
-            let mut a: Vec<_> = plain.iter().map(key).collect();
-            a.sort_unstable();
-            let mut b: Vec<_> = indexed.iter().map(key).collect();
-            b.sort_unstable();
-            a == b
-        };
+        let (parallel, _) = JoinIndex::build(&dataset.d_graphs).join(
+            &dataset.table,
+            &dataset.u_graphs,
+            params,
+            threads,
+        );
+        let parallel_t = started.elapsed();
+        let agree = sequential == parallel;
         println!(
             "{:>7} {:>7} | {:>11} {:>11} | {:>9} {:>9}",
             dataset.d_len(),
             dataset.u_len(),
-            secs(plain_t),
-            secs(indexed_t),
-            plain.len(),
+            secs(sequential_t),
+            secs(parallel_t),
+            sequential.len(),
             agree
         );
-        assert!(agree, "indexed join diverged from plain join");
+        assert!(agree, "the parallel join diverged from the sequential one");
     }
 }

@@ -84,7 +84,8 @@ fn parallel_join_agrees_with_sequential_on_real_workload() {
     let d = dataset();
     let params = JoinParams::simj(1, 0.8);
     let (seq, _) = uqsj::simjoin::sim_join(&d.table, &d.d_graphs, &d.u_graphs, params);
-    let (par, _) = uqsj::simjoin::sim_join_parallel(&d.table, &d.d_graphs, &d.u_graphs, params, 4);
+    let (par, _) =
+        uqsj::simjoin::JoinIndex::build(&d.d_graphs).join(&d.table, &d.u_graphs, params, 4);
     let key = |m: &JoinMatch| (m.g_index, m.q_index);
     let mut a: Vec<_> = seq.iter().map(key).collect();
     a.sort_unstable();

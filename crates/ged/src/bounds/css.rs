@@ -112,14 +112,30 @@ pub fn lb_ged_css_certain(table: &SymbolTable, q: &Graph, g: &Graph) -> u32 {
 /// count tie the orientation maximizing `C` is returned.
 pub fn css_terms_uncertain(table: &SymbolTable, q: &Graph, g: &UncertainGraph) -> CssTerms {
     let lambda_e = lambda_e_uncertain(table, q, g) as u32;
-    let dq = q.sorted_degrees();
-    let dg = g.sorted_degrees();
-    let fwd = (q.vertex_count() <= g.vertex_count()).then(|| {
-        terms_oriented(&dq, &dg, g.vertex_count() as u32, g.edge_count() as u32, lambda_e)
-    });
-    let bwd = (g.vertex_count() <= q.vertex_count()).then(|| {
-        terms_oriented(&dg, &dq, q.vertex_count() as u32, q.edge_count() as u32, lambda_e)
-    });
+    css_terms_from_parts(
+        &q.sorted_degrees(),
+        q.edge_count() as u32,
+        &g.sorted_degrees(),
+        g.edge_count() as u32,
+        lambda_e,
+    )
+}
+
+/// [`css_terms_uncertain`] from its parts: each graph's non-increasing
+/// degree sequence (its length is the vertex count) and edge count, and
+/// `λ_E`. For callers that keep the parts per graph instead of
+/// recomputing them per pair.
+pub fn css_terms_from_parts(
+    dq: &[u32],
+    q_edges: u32,
+    dg: &[u32],
+    g_edges: u32,
+    lambda_e: u32,
+) -> CssTerms {
+    let fwd =
+        (dq.len() <= dg.len()).then(|| terms_oriented(dq, dg, dg.len() as u32, g_edges, lambda_e));
+    let bwd =
+        (dg.len() <= dq.len()).then(|| terms_oriented(dg, dq, dq.len() as u32, q_edges, lambda_e));
     match (fwd, bwd) {
         (Some(a), Some(b)) => {
             if a.c_value() >= b.c_value() {

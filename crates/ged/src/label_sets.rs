@@ -16,54 +16,70 @@ use uqsj_matching::{hopcroft_karp, BipartiteGraph};
 ///
 /// Both inputs may be in any order; they are counted, not consumed.
 pub fn multiset_lambda(table: &SymbolTable, a: &[Symbol], b: &[Symbol]) -> usize {
-    // Split into wildcards and normals.
-    let mut an: Vec<Symbol> = Vec::with_capacity(a.len());
-    let mut aw = 0usize;
-    for &s in a {
-        if table.is_wildcard(s) {
-            aw += 1;
-        } else {
-            an.push(s);
-        }
-    }
-    let mut bn: Vec<Symbol> = Vec::with_capacity(b.len());
-    let mut bw = 0usize;
-    for &s in b {
-        if table.is_wildcard(s) {
-            bw += 1;
-        } else {
-            bn.push(s);
-        }
-    }
-    an.sort_unstable();
-    bn.sort_unstable();
-    let inter = sorted_multiset_intersection(&an, &bn);
-    let an_rest = an.len() - inter;
-    let bn_rest = bn.len() - inter;
-    // Leftover normals on the two sides share no label, so they can only be
-    // matched by wildcards of the other side. Saturate the exclusive
-    // demands first, then pair leftover wildcards with each other.
-    let x = aw.min(bn_rest); // a-wildcards consumed by b-normals
-    let z = bw.min(an_rest); // b-wildcards consumed by a-normals
-    let y = (aw - x).min(bw - z); // wildcard-to-wildcard
-    inter + x + z + y
+    let mut a = a.to_vec();
+    let mut b = b.to_vec();
+    a.sort_unstable();
+    b.sort_unstable();
+    sorted_multiset_lambda(table, &a, &b) as usize
 }
 
-/// Size of the intersection of two sorted multisets (exact equality).
-pub fn sorted_multiset_intersection(a: &[Symbol], b: &[Symbol]) -> usize {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
+/// [`multiset_lambda`] of two *sorted* multisets, in one merge that
+/// allocates nothing: it counts the wildcards it steps over and
+/// intersects the normal labels.
+pub fn sorted_multiset_lambda(table: &SymbolTable, a: &[Symbol], b: &[Symbol]) -> u32 {
+    let (mut i, mut j) = (0, 0);
+    // Wildcards of each side, normals of each side left unmatched, and
+    // the normal-label intersection.
+    let (mut aw, mut bw, mut an, mut bn, mut inter) = (0u32, 0u32, 0u32, 0u32, 0u32);
+    loop {
+        while i < a.len() && table.is_wildcard(a[i]) {
+            aw += 1;
+            i += 1;
+        }
+        while j < b.len() && table.is_wildcard(b[j]) {
+            bw += 1;
+            j += 1;
+        }
+        if i == a.len() || j == b.len() {
+            break;
+        }
         match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Less => {
+                an += 1;
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                bn += 1;
+                j += 1;
+            }
             std::cmp::Ordering::Equal => {
-                n += 1;
+                inter += 1;
                 i += 1;
                 j += 1;
             }
         }
     }
-    n
+    for &s in &a[i..] {
+        if table.is_wildcard(s) {
+            aw += 1;
+        } else {
+            an += 1;
+        }
+    }
+    for &s in &b[j..] {
+        if table.is_wildcard(s) {
+            bw += 1;
+        } else {
+            bn += 1;
+        }
+    }
+    // Leftover normals on the two sides share no label, so they can only be
+    // matched by wildcards of the other side. Saturate the exclusive
+    // demands first, then pair leftover wildcards with each other.
+    let x = aw.min(bn); // a-wildcards consumed by b-normals
+    let z = bw.min(an); // b-wildcards consumed by a-normals
+    let y = (aw - x).min(bw - z); // wildcard-to-wildcard
+    inter + x + z + y
 }
 
 /// `λ_V(q, g^c)` for two certain graphs.

@@ -1,10 +1,11 @@
 //! Incremental workload ingestion: a newly arriving NL question is joined
-//! against the existing SPARQL workload `D` through the size-signature
-//! `JoinIndex` — one `join_one` call instead of re-running the full
-//! `|D| × |U|` batch join — and the qualifying pairs become templates for
-//! the live store. Processing new questions one at a time in arrival
-//! order reproduces exactly the library a full batch re-join over the
-//! augmented workload would build (see `tests/ingest_equivalence.rs`).
+//! against the existing SPARQL workload `D` through a `JoinIndex` built
+//! once, with the ingester — one `join_one` call instead of re-running
+//! the full `|D| × |U|` batch join — and the qualifying pairs become
+//! templates for the live store. Processing new questions one at a time
+//! in arrival order reproduces exactly the library a full batch re-join
+//! over the augmented workload would build (see
+//! `tests/ingest_equivalence.rs`).
 
 use uqsj_graph::{Graph, SymbolTable};
 use uqsj_nlp::semantic::AnalysisError;
@@ -57,7 +58,8 @@ pub struct IngestOutcome {
 /// Joins newly arriving questions against a fixed SPARQL workload.
 pub struct Ingestor {
     table: SymbolTable,
-    d_graphs: Vec<Graph>,
+    /// The size window and filter summaries over `D`, which it owns.
+    index: JoinIndex<'static>,
     d_queries: Vec<SparqlQuery>,
     d_terms: Vec<Vec<Term>>,
     params: JoinParams,
@@ -92,12 +94,20 @@ impl Ingestor {
     ) -> Self {
         assert_eq!(d_graphs.len(), d_queries.len());
         assert_eq!(d_graphs.len(), d_terms.len());
-        Self { table, d_graphs, d_queries, d_terms, params, next_g_index, engine: GedEngine::new() }
+        Self {
+            table,
+            index: JoinIndex::build_owned(d_graphs),
+            d_queries,
+            d_terms,
+            params,
+            next_g_index,
+            engine: GedEngine::new(),
+        }
     }
 
     /// Size of the SPARQL workload joined against.
     pub fn d_len(&self) -> usize {
-        self.d_graphs.len()
+        self.index.queries().len()
     }
 
     /// Analyze one new question, join its uncertain graph against `D`
@@ -113,9 +123,8 @@ impl Ingestor {
         let g_index = self.next_g_index;
         self.next_g_index += 1;
 
-        let index = JoinIndex::build(&self.d_graphs);
         let (matches, stats) =
-            index.join_one_with(&mut self.engine, &self.table, g_index, &g, self.params);
+            self.index.join_one_with(&mut self.engine, &self.table, g_index, &g, self.params);
 
         let templates: Vec<Template> = matches
             .iter()

@@ -1,22 +1,48 @@
-//! A size-signature index over the certain side `D`: the vertex/edge
-//! count lower bound (Zeng et al.) prunes any pair with
-//! `||V(q)|−|V(g)|| + ||E(q)|−|E(g)|| > τ`, so for a given uncertain
-//! graph only queries inside a small size window need the (more
-//! expensive) CSS bound at all. The index turns the quadratic
-//! cross-product scan into per-question window lookups — the kind of
-//! engineering the paper's 73,057-query workload demands.
+//! The join driver: one indexed loop that every join entry point runs.
+//!
+//! [`JoinIndex::build`] sorts `D` by size and summarizes every query once:
+//! its vertex and edge counts, degree sequence and edge-label multiset.
+//! The vertex/edge-count lower bound (Zeng et al.) prunes any pair with
+//! `||V(q)|−|V(g)|| + ||E(q)|−|E(g)|| > τ`, so
+//! for a given uncertain graph only the queries inside a small size window
+//! reach the cascade at all; the rest are credited to the `size` stage
+//! without being touched.
+//!
+//! Entry points, all over the same per-question probe:
+//!
+//! * [`JoinIndex::join`] — the batch join over `U` on `threads` workers
+//!   that pull uncertain graphs off a shared atomic cursor. Per-graph cost
+//!   is heavily skewed (one many-world question can dwarf the rest), so a
+//!   worker that claims an expensive graph delays only that graph, not a
+//!   chunk. [`crate::sim_join`] is this driver at one thread.
+//! * [`JoinIndex::join_one`] / [`JoinIndex::join_one_with`] — one newly
+//!   arriving question, for incremental ingestion.
+//! * [`crate::sim_join_topk`] — the same filter loop, then top-k
+//!   verification instead of threshold verification.
+//!
+//! Time accounting: `pruning_time`/`verification_time` are the *summed*
+//! per-pair CPU times whatever the thread count, the paper's
+//! single-threaded accounting. A run on more than one worker also stamps
+//! [`JoinStats::wall_time`] with its true elapsed time, which
+//! [`JoinStats::response_time`] then reports.
 
-use crate::cascade::Stage;
-use crate::join::{join_pair, JoinMatch, JoinParams};
+use crate::cascade::{run_pair, Candidate, Stage};
+use crate::join::{verify, JoinMatch, JoinParams};
 use crate::obs::{join_obs, stage_handles};
 use crate::stats::JoinStats;
+use crate::summary::{Summary, VertexMatcher};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 use uqsj_ged::GedEngine;
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 
-/// The index: query ids sorted by vertex count, with edge counts kept for
-/// the second component of the size bound.
+/// The index over `D`: query ids sorted by size, and one filter summary
+/// per query.
 pub struct JoinIndex<'a> {
-    d: &'a [Graph],
+    d: Cow<'a, [Graph]>,
+    /// `summaries[i]` summarizes `d[i]`.
+    summaries: Vec<Summary>,
     /// `(vertex_count, edge_count, index into d)` sorted by vertex count.
     by_size: Vec<(u32, u32, u32)>,
 }
@@ -24,13 +50,21 @@ pub struct JoinIndex<'a> {
 impl<'a> JoinIndex<'a> {
     /// Build the index over `d`.
     pub fn build(d: &'a [Graph]) -> Self {
-        let mut by_size: Vec<(u32, u32, u32)> = d
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.vertex_count() as u32, g.edge_count() as u32, i as u32))
-            .collect();
+        Self::over(Cow::Borrowed(d))
+    }
+
+    /// Build the index over an owned `d`, for a long-lived joiner that
+    /// keeps `D` and its index together.
+    pub fn build_owned(d: Vec<Graph>) -> JoinIndex<'static> {
+        JoinIndex::over(Cow::Owned(d))
+    }
+
+    fn over(d: Cow<'a, [Graph]>) -> Self {
+        let summaries: Vec<Summary> = d.iter().map(Summary::of_graph).collect();
+        let mut by_size: Vec<(u32, u32, u32)> =
+            summaries.iter().enumerate().map(|(i, s)| (s.v, s.e, i as u32)).collect();
         by_size.sort_unstable();
-        Self { d, by_size }
+        Self { d, summaries, by_size }
     }
 
     /// Query ids whose size bound against `(v, e)` is within `tau`.
@@ -44,15 +78,67 @@ impl<'a> JoinIndex<'a> {
     }
 
     /// The indexed side.
-    pub fn queries(&self) -> &'a [Graph] {
-        self.d
+    pub fn queries(&self) -> &[Graph] {
+        &self.d
+    }
+
+    /// SimJ over `D × u` on `threads` workers. Returns the qualifying
+    /// pairs sorted by `(g_index, q_index)` — the same matches, in the
+    /// same order, for every thread count — and the merged statistics.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`.
+    pub fn join(
+        &self,
+        table: &SymbolTable,
+        u: &[UncertainGraph],
+        params: JoinParams,
+        threads: usize,
+    ) -> (Vec<JoinMatch>, JoinStats) {
+        assert!(threads >= 1, "need at least one thread");
+        let started = Instant::now();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            // One search workspace and matcher per worker, reused across
+            // every uncertain graph it claims.
+            let mut engine = GedEngine::new();
+            let mut matcher = VertexMatcher::default();
+            let mut out = Vec::new();
+            let mut stats = JoinStats::default();
+            loop {
+                let gi = next.fetch_add(1, Ordering::Relaxed);
+                let Some(g) = u.get(gi) else { break };
+                self.probe(&mut engine, &mut matcher, table, gi, g, &params, &mut out, &mut stats);
+            }
+            (out, stats)
+        };
+        let workers = threads.min(u.len());
+        let parts = if workers <= 1 {
+            vec![work()]
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+                handles.into_iter().map(|h| h.join().expect("join worker panicked")).collect()
+            })
+        };
+        let mut matches = Vec::new();
+        let mut stats = JoinStats::default();
+        for (m, s) in parts {
+            matches.extend(m);
+            stats.merge(&s);
+        }
+        matches.sort_by_key(|m| (m.g_index, m.q_index));
+        if workers > 1 {
+            stats.wall_time = started.elapsed();
+        }
+        (matches, stats)
     }
 
     /// Join a single uncertain graph against the indexed `D` — the
     /// incremental-ingestion entry point (`uqsj-serve` joins each newly
     /// arriving question without re-running the whole workload join).
     /// `g_index` is stamped into the produced matches. Matches come back
-    /// sorted by `q_index`, the same order a full batch join visits them,
+    /// sorted by `q_index`, the same order a full batch join reports them,
     /// so downstream template insertion is order-identical to a re-join.
     pub fn join_one(
         &self,
@@ -61,8 +147,7 @@ impl<'a> JoinIndex<'a> {
         g: &UncertainGraph,
         params: JoinParams,
     ) -> (Vec<JoinMatch>, JoinStats) {
-        let mut engine = GedEngine::new();
-        self.join_one_with(&mut engine, table, g_index, g, params)
+        self.join_one_with(&mut GedEngine::new(), table, g_index, g, params)
     }
 
     /// [`JoinIndex::join_one`] on a caller-owned [`GedEngine`], so a
@@ -77,47 +162,69 @@ impl<'a> JoinIndex<'a> {
     ) -> (Vec<JoinMatch>, JoinStats) {
         let mut out = Vec::new();
         let mut stats = JoinStats::default();
-        let v = g.vertex_count() as u32;
-        let e = g.edge_count() as u32;
-        let mut hits = 0u64;
-        for qi in self.candidates(v, e, params.tau) {
-            hits += 1;
-            join_pair(engine, table, qi, &self.d[qi], g_index, g, params, &mut out, &mut stats);
-        }
-        // Pairs outside the window fail the size bound by construction, so
-        // they land in the same `size` bucket the in-window cascade uses —
-        // indexed and plain joins report identical stage counts.
-        let skipped = self.d.len() as u64 - hits;
-        stats.pairs_total += skipped;
-        stats.record_pruned(Stage::Size.label(), skipped);
-        join_obs().pairs.add(skipped);
-        stage_handles(Stage::Size).pruned.add(skipped);
-        out.sort_by_key(|m| m.q_index);
+        let mut matcher = VertexMatcher::default();
+        self.probe(engine, &mut matcher, table, g_index, g, &params, &mut out, &mut stats);
         (out, stats)
     }
-}
 
-/// SimJ over `d × u` using the size index to skip hopeless pairs before
-/// any bound computation. Returns the same result set as
-/// [`crate::sim_join`]; `stats.pruned_size` absorbs the index-skipped
-/// pairs (the window test *is* the size bound, just evaluated cheaper).
-pub fn sim_join_indexed(
-    table: &SymbolTable,
-    d: &[Graph],
-    u: &[UncertainGraph],
-    params: JoinParams,
-) -> (Vec<JoinMatch>, JoinStats) {
-    let index = JoinIndex::build(d);
-    let mut out = Vec::new();
-    let mut stats = JoinStats::default();
-    let mut engine = GedEngine::new();
-    for (gi, g) in u.iter().enumerate() {
-        let (matches, s) = index.join_one_with(&mut engine, table, gi, g, params);
-        out.extend(matches);
-        stats.merge(&s);
+    /// Filter and verify `D × {g}`, appending `g`'s matches to `out`
+    /// sorted by `q_index`.
+    #[allow(clippy::too_many_arguments)] // one question's full context
+    fn probe(
+        &self,
+        engine: &mut GedEngine,
+        matcher: &mut VertexMatcher,
+        table: &SymbolTable,
+        gi: usize,
+        g: &UncertainGraph,
+        params: &JoinParams,
+        out: &mut Vec<JoinMatch>,
+        stats: &mut JoinStats,
+    ) {
+        let first = out.len();
+        self.filter(table, g, params, matcher, stats, |qi, candidate, filtered_at, stats| {
+            let q = (qi, &self.d[qi]);
+            verify(engine, table, q, (gi, g), candidate, filtered_at, params, out, stats);
+        });
+        out[first..].sort_by_key(|m| m.q_index);
     }
-    out.sort_by_key(|m| (m.g_index, m.q_index));
-    (out, stats)
+
+    /// Run every pair of `D × {g}` through the cascade, handing each
+    /// survivor to `survivor` with the clock read that closed its last
+    /// filter stage. Pairs outside the size window fail the size bound by
+    /// construction: they are credited to the `size` stage untouched.
+    pub(crate) fn filter(
+        &self,
+        table: &SymbolTable,
+        g: &UncertainGraph,
+        params: &JoinParams,
+        matcher: &mut VertexMatcher,
+        stats: &mut JoinStats,
+        mut survivor: impl FnMut(usize, Candidate, Instant, &mut JoinStats),
+    ) {
+        let obs = join_obs();
+        let gs = Summary::of_uncertain(g);
+        let mut in_window = 0u64;
+        for qi in self.candidates(gs.v, gs.e, params.tau) {
+            in_window += 1;
+            let started = Instant::now();
+            let mut clock = started;
+            let q = (&self.d[qi], &self.summaries[qi]);
+            let outcome = run_pair(table, q, (g, &gs), params, matcher, stats, &mut clock);
+            stats.pruning_time += clock - started;
+            if let Some(candidate) = outcome {
+                stats.candidates += 1;
+                obs.candidates.inc();
+                survivor(qi, candidate, clock, stats);
+            }
+        }
+        let pairs = self.d.len() as u64;
+        let skipped = pairs - in_window;
+        stats.pairs_total += pairs;
+        stats.record_pruned(Stage::Size.label(), skipped);
+        obs.pairs.add(pairs);
+        stage_handles(Stage::Size).pruned.add(skipped);
+    }
 }
 
 #[cfg(test)]
@@ -177,19 +284,88 @@ mod tests {
 
     #[test]
     fn indexed_join_matches_plain_join() {
+        // The batch join and one `join_one` per question are the same
+        // driver: same matches, same funnel.
         let mut t = SymbolTable::new();
         let (d, u) = workload(&mut t);
+        let index = JoinIndex::build(&d);
         for tau in 0..3u32 {
             let params = JoinParams::simj(tau, 0.3);
-            let (plain, pstats) = sim_join(&t, &d, &u, params);
-            let (indexed, istats) = sim_join_indexed(&t, &d, &u, params);
-            let key = |m: &JoinMatch| (m.g_index, m.q_index);
-            let mut a: Vec<_> = plain.iter().map(key).collect();
-            a.sort_unstable();
-            let b: Vec<_> = indexed.iter().map(key).collect();
-            assert_eq!(a, b, "tau={tau}");
-            assert_eq!(pstats.pairs_total, istats.pairs_total);
-            assert_eq!(pstats.results, istats.results);
+            let (batch, bstats) = sim_join(&t, &d, &u, params);
+            let mut stitched = Vec::new();
+            let mut sstats = JoinStats::default();
+            for (gi, g) in u.iter().enumerate() {
+                let (m, s) = index.join_one(&t, gi, g, params);
+                stitched.extend(m);
+                sstats.merge(&s);
+            }
+            assert_eq!(batch, stitched, "tau={tau}");
+            assert_eq!(bstats.pairs_total, sstats.pairs_total);
+            assert_eq!(bstats.results, sstats.results);
+            assert_eq!(bstats.pruned_stages(), sstats.pruned_stages());
         }
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let mut t = SymbolTable::new();
+        let mut d = Vec::new();
+        let mut u = Vec::new();
+        for i in 0..6 {
+            let mut b = GraphBuilder::new(&mut t);
+            b.vertex("x", "?x");
+            b.vertex("a", if i % 2 == 0 { "Actor" } else { "Band" });
+            b.edge("x", "a", "type");
+            d.push(b.into_graph());
+            let mut b = GraphBuilder::new(&mut t);
+            b.vertex("x", "?y");
+            b.uncertain_vertex("m", &[("Actor", 0.5), ("Band", 0.5)]);
+            b.edge("x", "m", "type");
+            u.push(b.into_uncertain());
+        }
+        let params = JoinParams::simj(1, 0.4);
+        let (seq, seq_stats) = sim_join(&t, &d, &u, params);
+        let (par, par_stats) = JoinIndex::build(&d).join(&t, &u, params, 3);
+        assert_eq!(seq, par);
+        assert_eq!(seq_stats.pairs_total, par_stats.pairs_total);
+        assert_eq!(seq_stats.results, par_stats.results);
+        // A run on several workers measures its own wall clock and reports
+        // it as the response time; a one-thread run leaves it unset and
+        // falls back to the summed CPU time.
+        assert!(par_stats.wall_time > std::time::Duration::ZERO);
+        assert_eq!(par_stats.response_time(), par_stats.wall_time);
+        assert_eq!(seq_stats.wall_time, std::time::Duration::ZERO);
+        assert_eq!(seq_stats.response_time(), seq_stats.cpu_time());
+    }
+
+    #[test]
+    fn more_workers_than_graphs_is_fine() {
+        let mut t = SymbolTable::new();
+        let mut b = GraphBuilder::new(&mut t);
+        b.vertex("x", "Actor");
+        let d = vec![b.into_graph()];
+        let mut u = Vec::new();
+        for _ in 0..2 {
+            let mut b = GraphBuilder::new(&mut t);
+            b.vertex("x", "Actor");
+            u.push(b.into_uncertain());
+        }
+        let (par, stats) = JoinIndex::build(&d).join(&t, &u, JoinParams::simj(0, 0.5), 16);
+        assert_eq!(par.len(), 2);
+        assert_eq!(stats.pairs_total, 2);
+        let (none, stats) = JoinIndex::build(&d).join(&t, &[], JoinParams::simj(0, 0.5), 4);
+        assert!(none.is_empty());
+        assert_eq!(stats.pairs_total, 0);
+    }
+
+    #[test]
+    fn owned_index_joins_like_a_borrowed_one() {
+        let mut t = SymbolTable::new();
+        let (d, u) = workload(&mut t);
+        let params = JoinParams::simj(1, 0.3);
+        let borrowed = JoinIndex::build(&d).join_one(&t, 7, &u[1], params).0;
+        let owned = JoinIndex::build_owned(d.clone());
+        assert_eq!(owned.queries().len(), d.len());
+        assert_eq!(owned.join_one(&t, 7, &u[1], params).0, borrowed);
     }
 }

@@ -1,7 +1,9 @@
 //! The SimJ procedure (Algorithm 1) and its group-optimized variant
-//! (Algorithm 2).
+//! (Algorithm 2): the join's parameters and results, [`sim_join`], and the
+//! refinement step the driver runs on every candidate.
 
-use crate::cascade::{run_pair, CascadeOutcome};
+use crate::cascade::Candidate;
+use crate::index::JoinIndex;
 use crate::obs::join_obs;
 use crate::stats::JoinStats;
 use std::time::Instant;
@@ -72,7 +74,9 @@ pub struct JoinMatch {
     pub world_prob: f64,
 }
 
-/// Run SimJ over `d × u`. Returns the qualifying pairs and the join
+/// Run SimJ over `d × u` on one thread, the paper's sequential
+/// accounting: [`JoinIndex::join`] at `threads = 1`. Returns the
+/// qualifying pairs, sorted by `(g_index, q_index)`, and the join
 /// statistics.
 pub fn sim_join(
     table: &SymbolTable,
@@ -80,52 +84,28 @@ pub fn sim_join(
     u: &[UncertainGraph],
     params: JoinParams,
 ) -> (Vec<JoinMatch>, JoinStats) {
-    let mut out = Vec::new();
-    let mut stats = JoinStats::default();
-    // One search workspace for the whole candidate stream.
-    let mut engine = GedEngine::new();
-    for (gi, g) in u.iter().enumerate() {
-        for (qi, q) in d.iter().enumerate() {
-            join_pair(&mut engine, table, qi, q, gi, g, params, &mut out, &mut stats);
-        }
-    }
-    (out, stats)
+    JoinIndex::build(d).join(table, u, params, 1)
 }
 
-/// Process a single pair; shared by the sequential and parallel drivers.
-#[allow(clippy::too_many_arguments)] // the join loop's full context
-pub(crate) fn join_pair(
+/// Refinement (lines 7-15 of Algorithm 1) of one pair that survived the
+/// cascade, dispatched to the exact or sampling tier by the policy.
+/// `filtered_at` is the clock read that closed the pair's last filter
+/// stage; verification time runs from it.
+#[allow(clippy::too_many_arguments)] // one pair's full context
+pub(crate) fn verify(
     engine: &mut GedEngine,
     table: &SymbolTable,
-    qi: usize,
-    q: &Graph,
-    gi: usize,
-    g: &UncertainGraph,
-    params: JoinParams,
+    (qi, q): (usize, &Graph),
+    (gi, g): (usize, &UncertainGraph),
+    candidate: Candidate,
+    filtered_at: Instant,
+    params: &JoinParams,
     out: &mut Vec<JoinMatch>,
     stats: &mut JoinStats,
 ) {
-    stats.pairs_total += 1;
-    let obs = join_obs();
-    obs.pairs.inc();
-
-    // Filtering: the strategy's fixed stage order (see `crate::cascade`).
-    let pruning_started = Instant::now();
-    let outcome = run_pair(table, q, g, params.strategy, params.tau, params.alpha, stats);
-    stats.pruning_time += pruning_started.elapsed();
-    let groups = match outcome {
-        CascadeOutcome::Pruned => return,
-        CascadeOutcome::Candidate(groups) => groups,
-    };
-
-    // Refinement (lines 7-15), dispatched to the exact or sampling tier
-    // by the policy. The sub-seed is a pure function of the pair indices,
-    // so sampled decisions are identical whichever driver — sequential,
-    // parallel, indexed — reaches the pair, and replayable from
-    // `params.simp.seed` alone.
-    stats.candidates += 1;
-    obs.candidates.inc();
-    let verification_started = Instant::now();
+    // The sub-seed is a pure function of the pair indices, so sampled
+    // decisions are identical whatever thread reaches the pair, and
+    // replayable from `params.simp.seed` alone.
     let expanded_before = engine.cumulative_stats().expanded;
     let outcome = verify_pair_with(
         engine,
@@ -134,11 +114,12 @@ pub(crate) fn join_pair(
         g,
         params.tau,
         params.alpha,
-        groups.as_deref(),
+        candidate.groups.as_deref(),
         &params.simp,
         pair_seed(params.simp.seed, qi, gi),
     );
-    let verify_elapsed = verification_started.elapsed();
+    let verify_elapsed = filtered_at.elapsed();
+    let obs = join_obs();
     obs.t_verify.observe_duration(verify_elapsed);
     stats.verification_time += verify_elapsed;
     stats.worlds_verified += outcome.worlds_verified as u64;

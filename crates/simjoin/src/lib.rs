@@ -13,19 +13,25 @@
 //! * `SimJ+opt` — additionally partitions possible worlds into groups
 //!   with the cost model of Sec. 6.2 for a tighter probability bound and
 //!   group-pruned verification: Algorithm 2.
+//!
+//! One driver runs every configuration: [`JoinIndex`] (see [`index`])
+//! keeps a size window and a filter summary per query, runs the
+//! [`cascade`] on the pairs inside the window, and verifies the survivors
+//! on any number of threads. [`sim_join`] is that driver at one thread;
+//! [`JoinIndex::join_one`] joins one arriving question; [`sim_join_topk`]
+//! ranks the same survivors instead of thresholding them.
 
 pub mod cascade;
 pub mod filter_eval;
 pub mod index;
 pub mod join;
 mod obs;
-pub mod parallel;
 pub mod stats;
+mod summary;
 pub mod topk;
 
-pub use index::{sim_join_indexed, JoinIndex};
+pub use index::JoinIndex;
 pub use join::{sim_join, JoinMatch, JoinParams, JoinStrategy};
-pub use parallel::sim_join_parallel;
 pub use stats::JoinStats;
 pub use topk::{sim_join_topk, TopKMatch};
 pub use uqsj_ged::GedEngine;

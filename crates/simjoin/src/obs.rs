@@ -9,6 +9,11 @@
 use crate::cascade::Stage;
 use std::sync::OnceLock;
 
+/// Help text of `uqsj_join_stage_us`, shared by every label set so the
+/// exposition shows one text whichever registers first.
+const STAGE_US_HELP: &str = "per-pair time in each cascade stage and in verification; \
+     the size stage counts only pairs inside the join index's size window";
+
 /// Stage-independent join counters.
 pub(crate) struct JoinObs {
     pub pairs: uqsj_obs::Counter,
@@ -27,11 +32,7 @@ pub(crate) fn join_obs() -> &'static JoinObs {
             pairs: r.counter("uqsj_join_pairs_total", "pairs considered by the join cascade"),
             candidates: r.counter("uqsj_join_candidates_total", "pairs surviving all filters"),
             results: r.counter("uqsj_join_results_total", "pairs verified with SimP >= alpha"),
-            t_verify: r.histogram_with(
-                "uqsj_join_stage_us",
-                &[("stage", "verify")],
-                "per-pair time in each cascade stage",
-            ),
+            t_verify: r.histogram_with("uqsj_join_stage_us", &[("stage", "verify")], STAGE_US_HELP),
         }
     })
 }
@@ -41,7 +42,9 @@ pub(crate) struct StageHandles {
     /// Pairs discarded by this stage (`uqsj_join_pruned_total{stage=..}`).
     pub pruned: uqsj_obs::Counter,
     /// Per-pair time in this stage, µs (`uqsj_join_stage_us{stage=..}`);
-    /// counts every pair that *reached* the stage.
+    /// counts every pair that *reached* the stage, which for `size` means
+    /// every pair inside the size window (the window's skipped pairs are
+    /// pruned without being timed).
     pub time: uqsj_obs::Histogram,
 }
 
@@ -61,11 +64,7 @@ pub(crate) fn stage_handles(stage: Stage) -> &'static StageHandles {
                     labels,
                     "pairs discarded by each filter stage",
                 ),
-                time: r.histogram_with(
-                    "uqsj_join_stage_us",
-                    labels,
-                    "per-pair time in each cascade stage",
-                ),
+                time: r.histogram_with("uqsj_join_stage_us", labels, STAGE_US_HELP),
             }
         })
     });

@@ -9,22 +9,21 @@ use std::time::Duration;
 ///
 /// Pruned-pair counts are keyed by cascade stage label (the same
 /// `stage=...` labels `uqsj_join_pruned_total` carries) and kept in
-/// cascade order, so every driver reports the identical funnel. The
-/// historical per-stage field names survive as accessor methods
-/// ([`JoinStats::pruned_size`], ...).
+/// cascade order, so every entry point and thread count reports the
+/// identical funnel. The historical per-stage field names survive as
+/// accessor methods ([`JoinStats::pruned_size`], ...).
 ///
 /// # Time accounting
 ///
 /// [`JoinStats::pruning_time`] and [`JoinStats::verification_time`] are
 /// *CPU* times: per-pair elapsed intervals summed over every pair the run
-/// touched, regardless of which worker touched it. In the sequential
-/// drivers ([`crate::sim_join`], [`crate::sim_join_indexed`]) this equals
-/// wall-clock time — the paper's experiments are single-threaded, so the
-/// summed accounting is the paper-faithful figure. The parallel driver
-/// ([`crate::sim_join_parallel`]) additionally stamps
-/// [`JoinStats::wall_time`] with the driver's true elapsed time;
-/// [`JoinStats::response_time`] prefers it when set, so a parallel run no
-/// longer reports a "response time" larger than the time it actually took.
+/// touched, regardless of which worker touched it. A one-thread run
+/// ([`crate::sim_join`]) is the paper's single-threaded accounting, where
+/// the sum is the wall clock. A run of [`crate::JoinIndex::join`] on more
+/// than one worker additionally stamps [`JoinStats::wall_time`] with its
+/// true elapsed time; [`JoinStats::response_time`] prefers it when set, so
+/// a parallel run does not report a "response time" larger than the time
+/// it actually took.
 #[derive(Clone, Debug, Default)]
 pub struct JoinStats {
     /// `|D| × |U|`.
@@ -170,8 +169,8 @@ impl JoinStats {
         }
     }
 
-    /// Merge another run's counters into this one (used by the parallel
-    /// driver and the indexed per-question loop). Counters and CPU times
+    /// Merge another run's counters into this one (used to combine the
+    /// join driver's workers). Counters and CPU times
     /// add; `wall_time` max-merges, because concurrent workers' elapsed
     /// intervals overlap — summing them would double-count the clock.
     pub fn merge(&mut self, other: &JoinStats) {

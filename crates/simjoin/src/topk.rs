@@ -9,12 +9,12 @@
 //! stop: once the k-th exact probability is at least the next upper
 //! bound, no unverified candidate can enter the top k.
 
-use crate::cascade::{run_pair, CascadeOutcome};
-use crate::join::JoinStrategy;
+use crate::index::JoinIndex;
+use crate::join::{JoinParams, JoinStrategy};
 use crate::stats::JoinStats;
+use crate::summary::VertexMatcher;
 use std::time::Instant;
 use uqsj_ged::astar::GedResult;
-use uqsj_ged::bounds::css::css_terms_uncertain;
 use uqsj_ged::GedEngine;
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 use uqsj_uncertain::prob::verify_simp_with;
@@ -47,9 +47,9 @@ pub struct TopKStats {
 
 /// For each `g ∈ u`, the top `k` queries of `d` by `SimP_τ`, descending.
 /// Queries with zero probability are never reported. Prefilters with the
-/// `CssOnly` cascade's τ-prunes (a pruned pair has `SimP_τ = 0`); the
-/// probabilistic α-stages never apply here because top-k has no α
-/// threshold.
+/// join driver's size window and the `CssOnly` cascade's τ-prunes (a
+/// pruned pair has `SimP_τ = 0`); the probabilistic α-stages never apply
+/// here because top-k has no α threshold.
 pub fn sim_join_topk(
     table: &SymbolTable,
     d: &[Graph],
@@ -61,23 +61,23 @@ pub fn sim_join_topk(
     let mut stats = TopKStats::default();
     let mut out = Vec::with_capacity(u.len());
     let mut engine = GedEngine::new();
+    let mut matcher = VertexMatcher::default();
+    let index = JoinIndex::build(d);
     // α is irrelevant without probabilistic stages; the per-pair prune
     // counters land in a scratch JoinStats the top-k report does not
     // consume.
+    let params = JoinParams { strategy: JoinStrategy::CssOnly, ..JoinParams::simj(tau, 0.0) };
     let mut scratch = JoinStats::default();
     for g in u {
-        // Structural filter + upper-bound ranking.
+        // Structural filter + upper-bound ranking, reusing the CSS stage's
+        // terms for the Markov bound.
         let mut candidates: Vec<(usize, f64)> = Vec::new();
-        for (qi, q) in d.iter().enumerate() {
-            let outcome = run_pair(table, q, g, JoinStrategy::CssOnly, tau, 0.0, &mut scratch);
-            if matches!(outcome, CascadeOutcome::Candidate(_)) {
-                let terms = css_terms_uncertain(table, q, g);
-                let ub = ub_simp_with_terms(table, q, g, tau, &terms);
-                candidates.push((qi, ub));
-            }
-        }
+        index.filter(table, g, &params, &mut matcher, &mut scratch, |qi, candidate, _, _| {
+            candidates.push((qi, ub_simp_with_terms(table, &d[qi], g, tau, &candidate.terms)));
+        });
         stats.candidates += candidates.len() as u64;
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite bound"));
+        // Bound descending, ties in `D` order.
+        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite bound").then(a.0.cmp(&b.0)));
 
         let mut top: Vec<TopKMatch> = Vec::with_capacity(k + 1);
         for (rank, &(qi, ub)) in candidates.iter().enumerate() {

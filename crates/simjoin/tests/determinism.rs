@@ -5,7 +5,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uqsj_graph::{Graph, GraphBuilder, SymbolTable, UncertainGraph};
-use uqsj_simjoin::{sim_join, sim_join_parallel, JoinIndex, JoinParams};
+use uqsj_simjoin::{sim_join, JoinIndex, JoinParams};
 
 const LABELS: [&str; 4] = ["Actor", "Band", "Film", "Country"];
 const PREDICATES: [&str; 3] = ["type", "starring", "memberOf"];
@@ -48,9 +48,9 @@ fn random_uncertain(t: &mut SymbolTable, rng: &mut SmallRng) -> UncertainGraph {
     b.into_uncertain()
 }
 
-/// Satellite: `sim_join_parallel` with 4 threads must return *exactly* the
-/// same `Vec<JoinMatch>` (order, probabilities, mappings) as the
-/// sequential join, on a randomly generated workload.
+/// The join driver on 4 threads must return *exactly* the same
+/// `Vec<JoinMatch>` (order, probabilities, mappings) as the sequential
+/// join, on a randomly generated workload.
 #[test]
 fn parallel_join_is_deterministic_and_equals_sequential() {
     let mut rng = SmallRng::seed_from_u64(0x5eed_u64);
@@ -59,11 +59,12 @@ fn parallel_join_is_deterministic_and_equals_sequential() {
     let u: Vec<UncertainGraph> = (0..9).map(|_| random_uncertain(&mut t, &mut rng)).collect();
     for tau in [0u32, 1, 2] {
         let params = JoinParams::simj(tau, 0.3);
+        let index = JoinIndex::build(&d);
         let (seq, seq_stats) = sim_join(&t, &d, &u, params);
-        let (par, par_stats) = sim_join_parallel(&t, &d, &u, params, 4);
+        let (par, par_stats) = index.join(&t, &u, params, 4);
         assert_eq!(seq, par, "tau={tau}: full match payloads must agree");
         // And a second run is bit-identical to the first.
-        let (par2, _) = sim_join_parallel(&t, &d, &u, params, 4);
+        let (par2, _) = index.join(&t, &u, params, 4);
         assert_eq!(par, par2, "tau={tau}: parallel join must be deterministic");
         assert_eq!(seq_stats.pairs_total, par_stats.pairs_total);
         assert_eq!(seq_stats.results, par_stats.results);

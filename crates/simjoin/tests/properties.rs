@@ -3,8 +3,14 @@
 //! ever lost (completeness against brute force).
 
 use proptest::prelude::*;
+use uqsj_ged::bounds::css::CssBound;
+use uqsj_ged::bounds::label_multiset::LabelMultisetBound;
+use uqsj_ged::bounds::size::SizeBound;
+use uqsj_ged::bounds::LowerBound;
 use uqsj_graph::{Graph, LabelAlternative, SymbolTable, UncertainGraph, UncertainVertex, VertexId};
-use uqsj_simjoin::{sim_join, sim_join_parallel, JoinParams, JoinStrategy};
+use uqsj_simjoin::{sim_join, JoinIndex, JoinMatch, JoinParams, JoinStats, JoinStrategy};
+use uqsj_uncertain::groups::ub_simp_grouped;
+use uqsj_uncertain::prob_bound::ub_simp;
 use uqsj_uncertain::similarity_probability;
 
 const VLABELS: [&str; 4] = ["A", "B", "C", "?x"];
@@ -96,6 +102,68 @@ fn build(raw: &RawWorkload) -> (SymbolTable, Vec<Graph>, Vec<UncertainGraph>) {
     (t, d, u)
 }
 
+/// The reference funnel: every pair of `d × u` through the reference
+/// bounds in plan order, as a nested loop. Returns the candidate count and
+/// the per-stage prune counts in cascade order.
+fn reference_funnel(
+    t: &SymbolTable,
+    d: &[Graph],
+    u: &[UncertainGraph],
+    params: JoinParams,
+) -> (u64, Vec<(&'static str, u64)>) {
+    let tau = params.tau;
+    let mut stats = JoinStats::default();
+    for g in u {
+        for q in d {
+            let stage = if SizeBound.uncertain(t, q, g) > tau {
+                Some("size")
+            } else if LabelMultisetBound.uncertain(t, q, g) > tau {
+                Some("label_multiset")
+            } else if CssBound.uncertain(t, q, g) > tau {
+                Some("css")
+            } else {
+                match params.strategy {
+                    JoinStrategy::CssOnly => None,
+                    JoinStrategy::SimJ => {
+                        (ub_simp(t, q, g, tau) < params.alpha).then_some("markov")
+                    }
+                    JoinStrategy::SimJOpt { group_count } => {
+                        if ub_simp(t, q, g, tau) < params.alpha {
+                            Some("markov_opt")
+                        } else {
+                            (ub_simp_grouped(t, q, g, tau, group_count).0 < params.alpha)
+                                .then_some("grouped")
+                        }
+                    }
+                }
+            };
+            match stage {
+                Some(label) => stats.record_pruned(label, 1),
+                None => stats.candidates += 1,
+            }
+        }
+    }
+    (stats.candidates, stats.pruned_stages().to_vec())
+}
+
+/// One `join_one` per question over one index, concatenated.
+fn join_per_question(
+    t: &SymbolTable,
+    d: &[Graph],
+    u: &[UncertainGraph],
+    params: JoinParams,
+) -> (Vec<JoinMatch>, JoinStats) {
+    let index = JoinIndex::build(d);
+    let mut matches = Vec::new();
+    let mut stats = JoinStats::default();
+    for (gi, g) in u.iter().enumerate() {
+        let (m, s) = index.join_one(t, gi, g, params);
+        matches.extend(m);
+        stats.merge(&s);
+    }
+    (matches, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -142,18 +210,18 @@ proptest! {
         let (t, d, u) = build(&raw);
         for strategy in STRATEGIES {
             let params = JoinParams { strategy, ..JoinParams::simj(tau, 0.4) };
-            let (plain, ps) = sim_join(&t, &d, &u, params);
-            let (indexed, is_) = uqsj_simjoin::sim_join_indexed(&t, &d, &u, params);
-            let key = |m: &uqsj_simjoin::JoinMatch| (m.g_index, m.q_index);
-            let mut a: Vec<_> = plain.iter().map(key).collect();
-            a.sort_unstable();
-            let b: Vec<_> = indexed.iter().map(key).collect();
-            prop_assert_eq!(a, b, "{:?}", strategy);
-            prop_assert_eq!(ps.pairs_total, is_.pairs_total);
-            // One static plan: the size window skips exactly the pairs the
-            // size stage would prune, so the funnels match stage by stage.
-            prop_assert_eq!(ps.candidates, is_.candidates, "{:?}", strategy);
-            prop_assert_eq!(ps.pruned_stages(), is_.pruned_stages(), "{:?}", strategy);
+            let (batch, bs) = sim_join(&t, &d, &u, params);
+            let (stitched, ss) = join_per_question(&t, &d, &u, params);
+            prop_assert_eq!(&batch, &stitched, "{:?}", strategy);
+            prop_assert_eq!(bs.pairs_total, ss.pairs_total);
+            prop_assert_eq!(bs.candidates, ss.candidates, "{:?}", strategy);
+            prop_assert_eq!(bs.pruned_stages(), ss.pruned_stages(), "{:?}", strategy);
+            // The size window skips exactly the pairs the size bound
+            // prunes, and the summaries change no verdict: the funnel is
+            // the plain nested loop's over the reference bounds.
+            let (candidates, pruned) = reference_funnel(&t, &d, &u, params);
+            prop_assert_eq!(bs.candidates, candidates, "{:?}", strategy);
+            prop_assert_eq!(bs.pruned_stages(), &pruned[..], "{:?}", strategy);
         }
     }
 
@@ -196,15 +264,16 @@ proptest! {
         prop_assert_eq!(&simj, &opt);
         for strategy in STRATEGIES {
             let params = JoinParams { strategy, ..JoinParams::simj(tau, 0.5) };
-            let (_, seq) = sim_join(&t, &d, &u, params);
-            let (par, ps) = sim_join_parallel(&t, &d, &u, params, 3);
-            let (_, is_) = uqsj_simjoin::sim_join_indexed(&t, &d, &u, params);
+            let (seq_matches, seq) = sim_join(&t, &d, &u, params);
+            let (par, ps) = JoinIndex::build(&d).join(&t, &u, params, 3);
+            let (_, is_) = join_per_question(&t, &d, &u, params);
+            prop_assert_eq!(&seq_matches, &par, "{:?}", strategy);
             let mut ppairs: Vec<(usize, usize)> =
                 par.iter().map(|x| (x.q_index, x.g_index)).collect();
             ppairs.sort_unstable();
             prop_assert_eq!(&ppairs, &css, "{:?}", strategy);
-            // The funnel is driver-independent: every driver runs the same
-            // static plan over the same pairs.
+            // The funnel is thread- and entry-point-independent: every
+            // run is the same driver over the same pairs.
             for (driver, stats) in [("parallel", &ps), ("indexed", &is_)] {
                 prop_assert_eq!(seq.candidates, stats.candidates, "{} {:?}", driver, strategy);
                 prop_assert_eq!(

@@ -3,6 +3,7 @@
 //! linking, and SPARQL execution.
 
 use crate::template::{slot_index, SlotBinding, Template};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use uqsj_nlp::align::{align_ids, PartialAligner, TokenIds};
@@ -21,10 +22,14 @@ pub mod reference;
 /// Beside each template the library keeps what the answer path derives
 /// from its NL pattern: the [`NlSignature`] and the tokens as
 /// [`TokenIds`] ids. [`TemplateLibrary::add`] builds them, so they are
-/// rebuilt on every load and never persisted.
+/// rebuilt on every load and never persisted. A map from
+/// [`Template::dedup_key`] to position finds a duplicate without scanning
+/// the library.
 #[derive(Debug, Default)]
 pub struct TemplateLibrary {
     templates: Vec<Template>,
+    /// `by_key[&templates[i].dedup_key()] == i`.
+    by_key: HashMap<(String, String), usize>,
     /// `signatures[i]` summarizes `templates[i].nl_tokens`.
     signatures: Vec<NlSignature>,
     /// `token_ids[i]` is `templates[i].nl_tokens` encoded by `vocab`.
@@ -42,12 +47,14 @@ impl TemplateLibrary {
     /// copy) when an identical pattern pair already exists.
     pub fn add(&mut self, t: Template) -> bool {
         let key = t.dedup_key();
-        if let Some(existing) = self.templates.iter_mut().find(|x| x.dedup_key() == key) {
+        if let Some(&i) = self.by_key.get(&key) {
+            let existing = &mut self.templates[i];
             if t.confidence > existing.confidence {
                 existing.confidence = t.confidence;
             }
             return false;
         }
+        self.by_key.insert(key, self.templates.len());
         self.signatures.push(NlSignature::of_tokens(&t.nl_tokens));
         self.token_ids.push(self.vocab.encode_template(&t.nl_tokens));
         self.templates.push(t);
@@ -530,6 +537,39 @@ mod tests {
         let mut lib = TemplateLibrary::new();
         assert!(lib.add(t));
         lib
+    }
+
+    #[test]
+    fn later_higher_confidence_duplicate_merges_into_the_first_copy() {
+        let template = |predicate: &str, confidence| {
+            let sparql = SparqlQuery {
+                select: vec!["x".into()],
+                triples: vec![Triple {
+                    subject: Term::Var("x".into()),
+                    predicate: Term::Iri(predicate.into()),
+                    object: slot_term(0),
+                }],
+            };
+            let nl = vec!["Who".into(), "is".into(), SLOT_TOKEN.into(), "?".into()];
+            Template::new(nl, sparql, vec![SlotBinding::Bound], confidence)
+        };
+        let mut lib = TemplateLibrary::new();
+        assert!(lib.add(template("p", 0.4)));
+        // Same NL pattern, other SPARQL pattern: a distinct template.
+        assert!(lib.add(template("q", 0.5)));
+        assert!(!lib.add(template("p", 0.9)), "a duplicate is not added");
+        assert!(!lib.add(template("p", 0.2)), "a duplicate is not added");
+        assert_eq!(lib.len(), 2);
+        assert_eq!(lib.signatures().len(), 2);
+        // The first copy keeps its position and takes the maximum
+        // confidence; the other template is untouched.
+        assert_eq!(lib.templates()[0].dedup_key(), template("p", 0.0).dedup_key());
+        assert_eq!(lib.templates()[0].confidence, 0.9);
+        assert_eq!(lib.templates()[1].dedup_key(), template("q", 0.0).dedup_key());
+        assert_eq!(lib.templates()[1].confidence, 0.5);
+        assert!(lib.add(template("r", 0.1)), "the map indexes later templates too");
+        assert!(!lib.add(template("r", 0.3)));
+        assert_eq!(lib.templates()[2].confidence, 0.3);
     }
 
     fn store() -> TripleStore {

@@ -23,7 +23,7 @@ use uqsj_ged::reference::{ged_bounded_reference, ged_reference};
 use uqsj_ged::GedEngine;
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 use uqsj_sample::SimpPolicy;
-use uqsj_simjoin::{sim_join, sim_join_indexed, sim_join_parallel, JoinParams, JoinStrategy};
+use uqsj_simjoin::{sim_join, JoinIndex, JoinParams, JoinStrategy};
 use uqsj_uncertain::groups::{partition_groups, ub_simp_grouped, verify_simp_groups_with};
 use uqsj_uncertain::prob::verify_simp_with;
 use uqsj_uncertain::prob_bound::{ub_simp, ub_simp_exact_tail};
@@ -349,6 +349,14 @@ pub fn check_join_agreement(
     want.sort_unstable();
 
     let params = |strategy| JoinParams { strategy, ..JoinParams::simj(tau, alpha) };
+    // One driver: `parallel` runs it on 3 threads, `indexed` one question
+    // at a time through the ingest entry point.
+    let index = JoinIndex::build(d);
+    let per_question: Vec<_> = u
+        .iter()
+        .enumerate()
+        .flat_map(|(gi, g)| index.join_one(table, gi, g, params(JoinStrategy::SimJ)).0)
+        .collect();
     let runs: Vec<(&'static str, Vec<(usize, usize)>)> = vec![
         ("css_only", pair_set(&sim_join(table, d, u, params(JoinStrategy::CssOnly)).0)),
         ("simj", pair_set(&sim_join(table, d, u, params(JoinStrategy::SimJ)).0)),
@@ -356,8 +364,8 @@ pub fn check_join_agreement(
             "simj_opt",
             pair_set(&sim_join(table, d, u, params(JoinStrategy::SimJOpt { group_count: 4 })).0),
         ),
-        ("parallel", pair_set(&sim_join_parallel(table, d, u, params(JoinStrategy::SimJ), 3).0)),
-        ("indexed", pair_set(&sim_join_indexed(table, d, u, params(JoinStrategy::SimJ)).0)),
+        ("parallel", pair_set(&index.join(table, u, params(JoinStrategy::SimJ), 3).0)),
+        ("indexed", pair_set(&per_question)),
     ];
     for (name, pairs) in &runs {
         *report.join_runs.entry(name).or_default() += 1;
