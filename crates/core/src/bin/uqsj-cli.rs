@@ -666,6 +666,11 @@ fn join(opts: &Options) -> ExitCode {
         stats.verification_time
     );
     println!(
+        "verifications {} ({} candidates took an identical query's verdict)",
+        stats.verifications,
+        stats.candidates - stats.verifications
+    );
+    println!(
         "tiers: exact {} sampled {} | worlds verified {} sampled {} | seed {}",
         stats.verified_exact,
         stats.verified_sampled,

@@ -45,9 +45,13 @@ pub struct JoinReport {
     pub stages: Vec<StageReport>,
     /// The strategy's cascade plan, in execution order.
     pub plan: Vec<&'static str>,
-    /// Candidates decided by exact enumeration.
+    /// Verifications actually run: one per surviving class of identical
+    /// queries, so `candidates - verifications` candidates took their
+    /// class's verdict.
+    pub verifications: u64,
+    /// Verifications decided by exact enumeration.
     pub verified_exact: u64,
-    /// Candidates decided by the sampling tier.
+    /// Verifications decided by the sampling tier.
     pub verified_sampled: u64,
     /// Possible worlds on which A* ran.
     pub worlds_verified: u64,
@@ -85,6 +89,7 @@ impl JoinReport {
             results: stats.results,
             stages,
             plan: uqsj_simjoin::cascade::plan(strategy),
+            verifications: stats.verifications,
             verified_exact: stats.verified_exact,
             verified_sampled: stats.verified_sampled,
             worlds_verified: stats.worlds_verified,
@@ -179,6 +184,7 @@ impl QueryReport {
                     push_json_string(&mut s, label);
                 }
                 s.push(']');
+                s.push_str(&format!(",\"verifications\":{}", j.verifications));
                 s.push_str(&format!(",\"verified_exact\":{}", j.verified_exact));
                 s.push_str(&format!(",\"verified_sampled\":{}", j.verified_sampled));
                 s.push_str(&format!(",\"worlds_verified\":{}", j.worlds_verified));
@@ -234,7 +240,8 @@ impl QueryReport {
                 ));
             }
             out.push_str(&format!(
-                "    verify exact={} sampled={} worlds={} drawn={} ged_expanded={}\n",
+                "    verify runs={} exact={} sampled={} worlds={} drawn={} ged_expanded={}\n",
+                j.verifications,
                 j.verified_exact,
                 j.verified_sampled,
                 j.worlds_verified,
@@ -363,6 +370,7 @@ mod tests {
             candidates: 2,
             results: 1,
             plan: vec!["size", "css"],
+            verifications: 1,
             stop_reasons: vec![("exact_only", 2)],
             ..Default::default()
         });
@@ -371,6 +379,7 @@ mod tests {
         assert!(json.contains("\"trace_id\":\"0000000000000004\""), "{json}");
         assert!(json.contains("\"plan\":[\"size\",\"css\"]"), "{json}");
         assert!(json.contains("\"stop_reasons\":{\"exact_only\":2}"), "{json}");
+        assert!(json.contains("\"verifications\":1,\"verified_exact\""), "{json}");
         assert!(json.contains("\"stages\":[{\"stage\":\"signature\",\"input\":10"), "{json}");
     }
 
@@ -380,6 +389,7 @@ mod tests {
         stats.pairs_total = 20;
         stats.candidates = 5;
         stats.results = 2;
+        stats.verifications = 3;
         stats.record_pruned("size", 10);
         stats.record_pruned("css", 5);
         stats.record_stop("exact_only");
@@ -392,6 +402,7 @@ mod tests {
         assert_eq!(pruned, stats.pruned_total());
         assert_eq!(j.pairs - pruned, j.candidates);
         assert_eq!(j.ged_expanded, 33);
+        assert_eq!(j.verifications, 3);
         assert_eq!(j.stop_reasons, vec![("exact_only", 1)]);
     }
 }

@@ -376,14 +376,16 @@ impl ShardedQaServer {
     /// adopt the most advanced one, re-initialize unreadable (quarantined)
     /// or missing replicas, and compact all replicas to a common fresh
     /// generation. Fails if no replica of some shard holds a committed
-    /// generation.
+    /// generation, and then before it has quarantined, re-created or
+    /// compacted anything: every shard's replica is chosen first.
     /// The lexicon and RDF store are taken from shard 0 (every replica
     /// snapshot carries a full copy, so each shard directory is
     /// self-contained).
     pub fn open(data_dir: &Path, config: ServeConfig) -> Result<Self, StorageError> {
         let (shards, replicas) = read_topology(data_dir)?;
-        let mut stores = Vec::with_capacity(shards);
-        let mut engines = Vec::with_capacity(shards);
+        // Phase 1, read-only: open every replica of every shard and adopt
+        // one state per shard.
+        let mut recovered = Vec::with_capacity(shards);
         let mut shared: Option<(Arc<Lexicon>, Arc<TripleStore>)> = None;
         for si in 0..shards {
             let mut attempts: Vec<_> = (0..replicas)
@@ -400,8 +402,8 @@ impl ShardedQaServer {
                 .map(|(_, ri)| ri);
             let Some(best) = best else {
                 // No replica holds this shard's state: refuse to start
-                // rather than serve it empty, and leave every replica in
-                // place for the operator.
+                // rather than serve it empty, and leave every replica of
+                // every shard in place for the operator.
                 let err = attempts.into_iter().find_map(Result::err).expect("replicas >= 1");
                 return Err(err);
             };
@@ -409,10 +411,27 @@ impl ShardedQaServer {
                 .as_mut()
                 .map(|(_, recovered)| std::mem::take(&mut recovered.state))
                 .expect("the adopted replica opened");
+            if shared.is_none() {
+                // Every replica snapshot carries the full lexicon + RDF
+                // store; adopt the first recovered copy for the whole
+                // server (they are identical by construction).
+                shared = Some((Arc::new(state.lexicon), Arc::new(state.triples)));
+            }
+            // Keep only the engines and the adopted library, so the other
+            // recovered copies are freed shard by shard.
+            let engines: Vec<_> =
+                attempts.into_iter().map(|a| a.map(|(engine, _)| engine)).collect();
+            recovered.push((state.library, engines));
+        }
+        let (lexicon, triples) = shared.expect("topology has at least one shard");
+        // Phase 2: every shard is recoverable, so repair and converge.
+        let mut stores = Vec::with_capacity(shards);
+        let mut engines = Vec::with_capacity(shards);
+        for (si, (library, attempts)) in recovered.into_iter().enumerate() {
             let mut opened = Vec::with_capacity(replicas);
             for (ri, attempt) in attempts.into_iter().enumerate() {
                 let engine = match attempt {
-                    Ok((engine, _)) => engine,
+                    Ok(engine) => engine,
                     Err(_) => {
                         // A replica that cannot open (deleted directory,
                         // corrupt snapshot, torn header, permission
@@ -428,24 +447,15 @@ impl ShardedQaServer {
                 };
                 opened.push(engine);
             }
-            let library = state.library;
-            if shared.is_none() {
-                // Every replica snapshot carries the full lexicon + RDF
-                // store; adopt the first recovered copy for the whole
-                // server (they are identical by construction).
-                shared = Some((Arc::new(state.lexicon), Arc::new(state.triples)));
-            }
-            let (lexicon, triples) = shared.as_ref().expect("set above");
             // Converge every replica on the adopted state.
             let mut shard_engines = Vec::with_capacity(replicas);
             for mut engine in opened {
-                engine.compact(&library, lexicon, triples)?;
+                engine.compact(&library, &lexicon, &triples)?;
                 shard_engines.push(engine);
             }
             stores.push(TemplateStore::from_library(library));
             engines.push(shard_engines);
         }
-        let (lexicon, triples) = shared.expect("topology has at least one shard");
         Ok(Self::build(stores, engines, lexicon, triples, config, replicas))
     }
 

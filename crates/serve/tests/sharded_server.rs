@@ -381,37 +381,68 @@ fn recovery_heals_a_deleted_replica_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file under `dir`, recursively, with its bytes, in path order.
+fn tree_bytes(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("read file");
+                files.push((path, bytes));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
 /// A shard whose every replica directory is gone has nothing to recover
-/// from: `open` is an error, and recovery creates no directory for it.
+/// from: `open` is an error, recovery creates no directory for it, and it
+/// writes nothing to the other shards either, whichever shard is gone.
 #[test]
 fn recovery_refuses_a_shard_whose_replicas_were_all_deleted() {
-    let dir = scratch_dir("deleted-shard");
     let dataset = qa_dataset(779, 30, 20);
-    let library = batch_library(&dataset, 30, JoinParams::simj(1, 0.5));
     let config = ServeConfig { min_phi: 1.0, cache_capacity: 0, bgp_eval: None };
-    let durable = ShardedQaServer::create(
-        &dir,
-        library,
-        dataset.kb.lexicon.clone(),
-        dataset.kb.triple_store(),
-        2,
-        2,
-        config,
-    )
-    .expect("bootstrap sharded dir");
-    drop(durable);
+    for (deleted, kept) in [(0, 1), (1, 0)] {
+        let dir = scratch_dir(&format!("deleted-shard-{deleted}"));
+        let durable = ShardedQaServer::create(
+            &dir,
+            batch_library(&dataset, 30, JoinParams::simj(1, 0.5)),
+            dataset.kb.lexicon.clone(),
+            dataset.kb.triple_store(),
+            2,
+            2,
+            config,
+        )
+        .expect("bootstrap sharded dir");
+        drop(durable);
 
-    let shard0 = dir.join("shard-0000");
-    for ri in 0..2 {
-        std::fs::remove_dir_all(shard0.join(format!("replica-{ri:02}"))).expect("delete replica");
+        let gone = dir.join(format!("shard-{deleted:04}"));
+        for ri in 0..2 {
+            std::fs::remove_dir_all(gone.join(format!("replica-{ri:02}"))).expect("delete replica");
+        }
+        let survivor = dir.join(format!("shard-{kept:04}"));
+        let before = tree_bytes(&survivor);
+        assert!(!before.is_empty(), "shard {kept} holds no file");
+        for attempt in 0..2 {
+            assert!(
+                ShardedQaServer::open(&dir, config).is_err(),
+                "shard {deleted}, attempt {attempt}: opened a shard with no replica"
+            );
+            let left: Vec<_> = std::fs::read_dir(&gone).expect("shard dir").collect();
+            assert!(
+                left.is_empty(),
+                "shard {deleted}, attempt {attempt}: recovery created {left:?}"
+            );
+            assert!(
+                tree_bytes(&survivor) == before,
+                "shard {deleted}, attempt {attempt}: a refused open rewrote shard {kept}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    for attempt in 0..2 {
-        assert!(
-            ShardedQaServer::open(&dir, config).is_err(),
-            "attempt {attempt}: opened a shard with no replica"
-        );
-        let left: Vec<_> = std::fs::read_dir(&shard0).expect("shard dir").collect();
-        assert!(left.is_empty(), "attempt {attempt}: recovery created {left:?}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,12 +21,14 @@
 //! `markov_opt`) and the group-refined bound of Algorithm 2 (`grouped`),
 //! which also hands its possible-world partition to the verifier.
 //!
-//! A pruned pair is credited to exactly one stage, in [`JoinStats`] and in
-//! `uqsj_join_pruned_total{stage}`; every stage a pair reaches records its
-//! time in `uqsj_join_stage_us{stage}`. The driver runs the cascade only on
-//! pairs inside the size window of [`crate::JoinIndex`], so the `size`
-//! stage never fires here and its histogram counts in-window pairs only;
-//! the window's skipped pairs are credited to `size` by the driver.
+//! A pruned pair is credited to exactly one stage, in
+//! [`crate::JoinStats`] and in `uqsj_join_pruned_total{stage}`; every stage
+//! an evaluation reaches records its time in `uqsj_join_stage_us{stage}`.
+//! The driver runs the cascade once per class of identical queries inside
+//! the size window of [`crate::JoinIndex`] and credits the verdict to
+//! every member, so the `size` stage never fires here and its histogram
+//! counts in-window evaluations only; the window's skipped pairs are
+//! credited to `size` by the driver.
 //!
 //! # Summaries and hand-offs
 //!
@@ -55,7 +57,6 @@
 
 use crate::join::{JoinParams, JoinStrategy};
 use crate::obs::stage_handles;
-use crate::stats::JoinStats;
 use crate::summary::{Summary, VertexMatcher};
 use std::time::Instant;
 use uqsj_ged::bounds::css::{css_terms_from_parts, CssTerms};
@@ -94,7 +95,7 @@ impl Stage {
         Stage::Grouped,
     ];
 
-    /// The stage's `stage=...` metric label and [`JoinStats`] key.
+    /// The stage's `stage=...` metric label and [`crate::JoinStats`] key.
     pub(crate) fn label(self) -> &'static str {
         match self {
             Stage::Size => "size",
@@ -135,20 +136,19 @@ pub(crate) struct Candidate {
     pub(crate) groups: Option<Vec<PossibleWorldGroup>>,
 }
 
-/// Run one pair through `params.strategy`'s plan; `None` when a stage
-/// pruned it. Credits exactly one stage in `stats` and the process metrics
-/// when the pair is pruned, so `pairs == pruned_total + candidates` holds.
-/// `clock` holds the last clock read on entry and the read that closed the
-/// last stage run on return.
+/// Run one pair through `params.strategy`'s plan; `Err` names the stage
+/// that pruned it. The caller credits that stage, once per logical pair
+/// the verdict stands for, so `pairs == pruned_total + candidates` holds.
+/// Every stage run records its time. `clock` holds the last clock read on
+/// entry and the read that closed the last stage run on return.
 pub(crate) fn run_pair(
     table: &SymbolTable,
     (q, qs): (&Graph, &Summary),
     (g, gs): (&UncertainGraph, &Summary),
     params: &JoinParams,
     matcher: &mut VertexMatcher,
-    stats: &mut JoinStats,
     clock: &mut Instant,
-) -> Option<Candidate> {
+) -> Result<Candidate, Stage> {
     let tau = params.tau;
     let (mut lambda_e, mut lambda_v) = (0, 0);
     let mut terms = None;
@@ -189,17 +189,16 @@ pub(crate) fn run_pair(
         handles.time.observe_duration(now - *clock);
         *clock = now;
         if fired {
-            handles.pruned.inc();
-            stats.record_pruned(stage.label(), 1);
-            return None;
+            return Err(stage);
         }
     }
-    Some(Candidate { terms: terms.expect("every plan runs css"), groups })
+    Ok(Candidate { terms: terms.expect("every plan runs css"), groups })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::JoinStats;
     use proptest::prelude::*;
     use uqsj_ged::bounds::css::{css_terms_uncertain, CssBound};
     use uqsj_ged::bounds::label_multiset::LabelMultisetBound;
@@ -222,7 +221,9 @@ mod tests {
     ) -> Option<Candidate> {
         let (qs, gs) = (Summary::of_graph(q), Summary::of_uncertain(g));
         let mut matcher = VertexMatcher::default();
-        run_pair(t, (q, &qs), (g, &gs), params, &mut matcher, stats, &mut Instant::now())
+        run_pair(t, (q, &qs), (g, &gs), params, &mut matcher, &mut Instant::now())
+            .map_err(|stage| stats.record_pruned(stage.label(), 1))
+            .ok()
     }
 
     fn params(strategy: JoinStrategy, tau: u32, alpha: f64) -> JoinParams {

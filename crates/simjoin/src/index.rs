@@ -1,12 +1,23 @@
 //! The join driver: one indexed loop that every join entry point runs.
 //!
-//! [`JoinIndex::build`] sorts `D` by size and summarizes every query once:
-//! its vertex and edge counts, degree sequence and edge-label multiset.
-//! The vertex/edge-count lower bound (Zeng et al.) prunes any pair with
+//! [`JoinIndex::build`] groups `D` into classes of identical graphs (the
+//! same vertex-label sequence and edge list), sorts the classes by size
+//! and summarizes each class once: its vertex and edge counts, degree
+//! sequence and edge-label multiset. The vertex/edge-count lower bound
+//! (Zeng et al.) prunes any pair with
 //! `||V(q)|−|V(g)|| + ||E(q)|−|E(g)|| > τ`, so
-//! for a given uncertain graph only the queries inside a small size window
+//! for a given uncertain graph only the classes inside a small size window
 //! reach the cascade at all; the rest are credited to the `size` stage
 //! without being touched.
+//!
+//! The cascade verdict, `SimP_τ(q, g)` and the A\* mapping are pure
+//! functions of `q`'s labels and edges, so the driver filters and verifies
+//! each class once, through its representative (its lowest query id), and
+//! copies a passing verdict to every member under the member's own
+//! `q_index`. The funnel counters of [`JoinStats`] (`pairs_total`, the
+//! per-stage pruned counts, `candidates`, `results`) still count logical
+//! pairs; the work counters (times, `verifications`, worlds, expansions,
+//! tiers, stops) count work actually done.
 //!
 //! Entry points, all over the same per-question probe:
 //!
@@ -21,7 +32,7 @@
 //!   verification instead of threshold verification.
 //!
 //! Time accounting: `pruning_time`/`verification_time` are the *summed*
-//! per-pair CPU times whatever the thread count, the paper's
+//! per-evaluation CPU times whatever the thread count, the paper's
 //! single-threaded accounting. A run on more than one worker also stamps
 //! [`JoinStats::wall_time`] with its true elapsed time, which
 //! [`JoinStats::response_time`] then reports.
@@ -32,18 +43,26 @@ use crate::obs::{join_obs, stage_handles};
 use crate::stats::JoinStats;
 use crate::summary::{Summary, VertexMatcher};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use uqsj_ged::GedEngine;
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 
-/// The index over `D`: query ids sorted by size, and one filter summary
-/// per query.
+/// Identical graphs of `D`, filtered and verified as one.
+struct Class {
+    /// Summary of every member (they are the same graph).
+    summary: Summary,
+    /// Member query ids, ascending; the first is the representative.
+    members: Box<[u32]>,
+}
+
+/// The index over `D`: classes of identical queries sorted by size, and
+/// one filter summary per class.
 pub struct JoinIndex<'a> {
     d: Cow<'a, [Graph]>,
-    /// `summaries[i]` summarizes `d[i]`.
-    summaries: Vec<Summary>,
-    /// `(vertex_count, edge_count, index into d)` sorted by vertex count.
+    classes: Vec<Class>,
+    /// `(vertex_count, edge_count, class id)`, sorted.
     by_size: Vec<(u32, u32, u32)>,
 }
 
@@ -60,21 +79,49 @@ impl<'a> JoinIndex<'a> {
     }
 
     fn over(d: Cow<'a, [Graph]>) -> Self {
-        let summaries: Vec<Summary> = d.iter().map(Summary::of_graph).collect();
-        let mut by_size: Vec<(u32, u32, u32)> =
-            summaries.iter().enumerate().map(|(i, s)| (s.v, s.e, i as u32)).collect();
+        // A graph is its vertex-label sequence plus its edge list, so two
+        // queries with equal slices are the same graph.
+        let mut class_of = HashMap::with_capacity(d.len());
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for (i, q) in d.iter().enumerate() {
+            let c = *class_of.entry((q.vertex_labels(), q.edges())).or_insert_with(|| {
+                members.push(Vec::new());
+                members.len() - 1
+            });
+            members[c].push(i as u32);
+        }
+        let classes: Vec<Class> = members
+            .into_iter()
+            .map(|m| Class { summary: Summary::of_graph(&d[m[0] as usize]), members: m.into() })
+            .collect();
+        let mut by_size: Vec<(u32, u32, u32)> = classes
+            .iter()
+            .enumerate()
+            .map(|(c, class)| (class.summary.v, class.summary.e, c as u32))
+            .collect();
         by_size.sort_unstable();
-        Self { d, summaries, by_size }
+        Self { d, classes, by_size }
     }
 
-    /// Query ids whose size bound against `(v, e)` is within `tau`.
-    pub fn candidates(&self, v: u32, e: u32, tau: u32) -> impl Iterator<Item = usize> + '_ {
+    /// Classes whose size bound against `(v, e)` is within `tau`.
+    fn window(&self, v: u32, e: u32, tau: u32) -> impl Iterator<Item = &Class> + '_ {
         let lo = self.by_size.partition_point(|&(qv, _, _)| qv + tau < v);
         let hi = self.by_size.partition_point(|&(qv, _, _)| qv <= v + tau);
         self.by_size[lo..hi]
             .iter()
             .filter(move |&&(qv, qe, _)| qv.abs_diff(v) + qe.abs_diff(e) <= tau)
-            .map(|&(_, _, i)| i as usize)
+            .map(|&(_, _, c)| &self.classes[c as usize])
+    }
+
+    /// Query ids whose size bound against `(v, e)` is within `tau`.
+    pub fn candidates(&self, v: u32, e: u32, tau: u32) -> impl Iterator<Item = usize> + '_ {
+        self.window(v, e, tau).flat_map(|class| class.members.iter().map(|&i| i as usize))
+    }
+
+    /// The number of classes of identical queries in `D`: the cascade
+    /// and the verifier run at most this many times per uncertain graph.
+    pub fn class_count(&self) -> usize {
+        self.classes.len()
     }
 
     /// The indexed side.
@@ -182,17 +229,20 @@ impl<'a> JoinIndex<'a> {
         stats: &mut JoinStats,
     ) {
         let first = out.len();
-        self.filter(table, g, params, matcher, stats, |qi, candidate, filtered_at, stats| {
-            let q = (qi, &self.d[qi]);
+        self.filter(table, g, params, matcher, stats, |members, candidate, filtered_at, stats| {
+            let q = (members, &self.d[members[0] as usize]);
             verify(engine, table, q, (gi, g), candidate, filtered_at, params, out, stats);
         });
         out[first..].sort_by_key(|m| m.q_index);
     }
 
-    /// Run every pair of `D × {g}` through the cascade, handing each
-    /// survivor to `survivor` with the clock read that closed its last
-    /// filter stage. Pairs outside the size window fail the size bound by
-    /// construction: they are credited to the `size` stage untouched.
+    /// Run every pair of `D × {g}` through the cascade, one evaluation per
+    /// class in the size window, handing each surviving class's members
+    /// (representative first) to `survivor` with the clock read that
+    /// closed its last filter stage. Every pair is counted once in the
+    /// funnel: a class's verdict is credited once per member, and pairs
+    /// outside the size window fail the size bound by construction, so
+    /// they are credited to the `size` stage untouched.
     pub(crate) fn filter(
         &self,
         table: &SymbolTable,
@@ -200,22 +250,30 @@ impl<'a> JoinIndex<'a> {
         params: &JoinParams,
         matcher: &mut VertexMatcher,
         stats: &mut JoinStats,
-        mut survivor: impl FnMut(usize, Candidate, Instant, &mut JoinStats),
+        mut survivor: impl FnMut(&[u32], Candidate, Instant, &mut JoinStats),
     ) {
         let obs = join_obs();
         let gs = Summary::of_uncertain(g);
         let mut in_window = 0u64;
-        for qi in self.candidates(gs.v, gs.e, params.tau) {
-            in_window += 1;
+        for class in self.window(gs.v, gs.e, params.tau) {
+            let members = &class.members[..];
+            let n = members.len() as u64;
+            in_window += n;
             let started = Instant::now();
             let mut clock = started;
-            let q = (&self.d[qi], &self.summaries[qi]);
-            let outcome = run_pair(table, q, (g, &gs), params, matcher, stats, &mut clock);
+            let q = (&self.d[members[0] as usize], &class.summary);
+            let outcome = run_pair(table, q, (g, &gs), params, matcher, &mut clock);
             stats.pruning_time += clock - started;
-            if let Some(candidate) = outcome {
-                stats.candidates += 1;
-                obs.candidates.inc();
-                survivor(qi, candidate, clock, stats);
+            match outcome {
+                Ok(candidate) => {
+                    stats.candidates += n;
+                    obs.candidates.add(n);
+                    survivor(members, candidate, clock, stats);
+                }
+                Err(stage) => {
+                    stats.record_pruned(stage.label(), n);
+                    stage_handles(stage).pruned.add(n);
+                }
             }
         }
         let pairs = self.d.len() as u64;
@@ -356,6 +414,35 @@ mod tests {
         let (none, stats) = JoinIndex::build(&d).join(&t, &[], JoinParams::simj(0, 0.5), 4);
         assert!(none.is_empty());
         assert_eq!(stats.pairs_total, 0);
+    }
+
+    #[test]
+    fn only_identical_queries_share_a_class() {
+        let mut t = SymbolTable::new();
+        let (mut d, u) = workload(&mut t);
+        d.push(d[2].clone());
+        // Same labels and edge count as d[1], edge reversed: a different
+        // graph, so a class of its own.
+        let mut b = GraphBuilder::new(&mut t);
+        b.vertex("v0", "A");
+        b.vertex("v1", "A");
+        b.edge("v1", "v0", "p");
+        d.push(b.into_graph());
+        let index = JoinIndex::build(&d);
+        assert_eq!(index.class_count(), d.len() - 1);
+        let mut window: Vec<usize> = index.candidates(3, 2, 0).collect();
+        window.sort_unstable();
+        assert_eq!(window, [2, 5], "both copies of d[2] are in the window");
+        // The copy takes d[2]'s verdict under its own id.
+        let params = JoinParams::simj(2, 0.3);
+        let (matches, stats) = index.join(&t, &u, params, 1);
+        for m in matches.iter().filter(|m| m.q_index == 5) {
+            let original = matches.iter().find(|o| o.q_index == 2 && o.g_index == m.g_index);
+            assert_eq!(original.map(|o| (o.prob, &o.mapping)), Some((m.prob, &m.mapping)));
+        }
+        assert!(matches.iter().any(|m| m.q_index == 5));
+        assert!(stats.verifications < stats.candidates);
+        assert_eq!(stats.pairs_total, (d.len() * u.len()) as u64);
     }
 
     #[test]

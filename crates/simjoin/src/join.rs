@@ -87,15 +87,17 @@ pub fn sim_join(
     JoinIndex::build(d).join(table, u, params, 1)
 }
 
-/// Refinement (lines 7-15 of Algorithm 1) of one pair that survived the
-/// cascade, dispatched to the exact or sampling tier by the policy.
-/// `filtered_at` is the clock read that closed the pair's last filter
-/// stage; verification time runs from it.
+/// Refinement (lines 7-15 of Algorithm 1) of one class of identical
+/// queries that survived the cascade, dispatched to the exact or sampling
+/// tier by the policy. The pair is verified once, as its representative
+/// `members[0]`, and a passing verdict is pushed to `out` once per member,
+/// under the member's own `q_index`. `filtered_at` is the clock read that
+/// closed the pair's last filter stage; verification time runs from it.
 #[allow(clippy::too_many_arguments)] // one pair's full context
 pub(crate) fn verify(
     engine: &mut GedEngine,
     table: &SymbolTable,
-    (qi, q): (usize, &Graph),
+    (members, q): (&[u32], &Graph),
     (gi, g): (usize, &UncertainGraph),
     candidate: Candidate,
     filtered_at: Instant,
@@ -103,9 +105,11 @@ pub(crate) fn verify(
     out: &mut Vec<JoinMatch>,
     stats: &mut JoinStats,
 ) {
-    // The sub-seed is a pure function of the pair indices, so sampled
-    // decisions are identical whatever thread reaches the pair, and
-    // replayable from `params.simp.seed` alone.
+    // The sub-seed is a pure function of the representative's pair
+    // indices, so sampled decisions are identical whatever thread reaches
+    // the pair, shared by the whole class, and replayable from
+    // `params.simp.seed` alone.
+    let qi = members[0] as usize;
     let expanded_before = engine.cumulative_stats().expanded;
     let outcome = verify_pair_with(
         engine,
@@ -121,6 +125,7 @@ pub(crate) fn verify(
     let verify_elapsed = filtered_at.elapsed();
     let obs = join_obs();
     obs.t_verify.observe_duration(verify_elapsed);
+    stats.verifications += 1;
     stats.verification_time += verify_elapsed;
     stats.worlds_verified += outcome.worlds_verified as u64;
     stats.worlds_sampled += outcome.worlds_sampled;
@@ -131,17 +136,22 @@ pub(crate) fn verify(
         Tier::Sample => stats.verified_sampled += 1,
     }
     if outcome.passed {
-        stats.results += 1;
-        obs.results.inc();
+        let n = members.len() as u64;
+        stats.results += n;
+        obs.results.add(n);
         let mapping =
             outcome.best_mapping.expect("a passing pair has at least one qualifying world");
-        out.push(JoinMatch {
+        let matched = JoinMatch {
             q_index: qi,
             g_index: gi,
             prob: outcome.prob,
             mapping,
             world_prob: outcome.best_world_prob,
-        });
+        };
+        out.extend(
+            members[1..].iter().map(|&m| JoinMatch { q_index: m as usize, ..matched.clone() }),
+        );
+        out.push(matched);
     }
 }
 

@@ -11,16 +11,17 @@ use std::sync::OnceLock;
 
 /// Help text of `uqsj_join_stage_us`, shared by every label set so the
 /// exposition shows one text whichever registers first.
-const STAGE_US_HELP: &str = "per-pair time in each cascade stage and in verification; \
-     the size stage counts only pairs inside the join index's size window";
+const STAGE_US_HELP: &str = "time per evaluation in each cascade stage and per verification, \
+     once per class of identical queries; the size stage counts only evaluations inside the \
+     join index's size window";
 
 /// Stage-independent join counters.
 pub(crate) struct JoinObs {
     pub pairs: uqsj_obs::Counter,
     pub candidates: uqsj_obs::Counter,
     pub results: uqsj_obs::Counter,
-    /// Per-pair verification time (µs); counts every pair that survived
-    /// all filters.
+    /// Verification time (µs); counts every verification run, one per
+    /// surviving class of identical queries.
     pub t_verify: uqsj_obs::Histogram,
 }
 
@@ -41,10 +42,11 @@ pub(crate) fn join_obs() -> &'static JoinObs {
 pub(crate) struct StageHandles {
     /// Pairs discarded by this stage (`uqsj_join_pruned_total{stage=..}`).
     pub pruned: uqsj_obs::Counter,
-    /// Per-pair time in this stage, µs (`uqsj_join_stage_us{stage=..}`);
-    /// counts every pair that *reached* the stage, which for `size` means
-    /// every pair inside the size window (the window's skipped pairs are
-    /// pruned without being timed).
+    /// Time per evaluation in this stage, µs
+    /// (`uqsj_join_stage_us{stage=..}`); counts every class-pair
+    /// evaluation that *reached* the stage, which for `size` means every
+    /// one inside the size window (the window's skipped pairs are pruned
+    /// without being timed).
     pub time: uqsj_obs::Histogram,
 }
 

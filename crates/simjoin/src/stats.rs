@@ -5,6 +5,18 @@ use std::time::Duration;
 
 /// Counters and timers accumulated over one join run.
 ///
+/// # Pairs and work
+///
+/// The driver filters and verifies each class of identical queries in `D`
+/// once (see [`crate::JoinIndex`]). The funnel counters count logical
+/// pairs, so they do not depend on how `D` folds: `pairs_total`, the
+/// per-stage pruned counts, `candidates` and `results`. The work counters
+/// count work actually done: the two times, `verifications`,
+/// `worlds_verified`, `worlds_sampled`, `ged_expanded`, the tier split and
+/// the stopping reasons. `candidates − verifications` is the number of
+/// surviving pairs that took their class's verdict without a verification
+/// of their own.
+///
 /// # Per-stage counters
 ///
 /// Pruned-pair counts are keyed by cascade stage label (the same
@@ -16,8 +28,8 @@ use std::time::Duration;
 /// # Time accounting
 ///
 /// [`JoinStats::pruning_time`] and [`JoinStats::verification_time`] are
-/// *CPU* times: per-pair elapsed intervals summed over every pair the run
-/// touched, regardless of which worker touched it. A one-thread run
+/// *CPU* times: elapsed intervals summed over every cascade evaluation
+/// and verification the run made, regardless of which worker made it. A one-thread run
 /// ([`crate::sim_join`]) is the paper's single-threaded accounting, where
 /// the sum is the wall clock. A run of [`crate::JoinIndex::join`] on more
 /// than one worker additionally stamps [`JoinStats::wall_time`] with its
@@ -37,14 +49,17 @@ pub struct JoinStats {
     pub candidates: u64,
     /// Pairs verified with `SimP_τ >= α`.
     pub results: u64,
+    /// Verifications actually run: one per surviving class of identical
+    /// queries, so at most `candidates`.
+    pub verifications: u64,
     /// Possible worlds on which A\* ran.
     pub worlds_verified: u64,
     /// Possible worlds drawn by the Monte-Carlo sampler (memoized draws
     /// included); zero under exact-only verification.
     pub worlds_sampled: u64,
-    /// Candidates decided by exact enumeration.
+    /// Verifications decided by exact enumeration.
     pub verified_exact: u64,
-    /// Candidates decided by the sampling tier.
+    /// Verifications decided by the sampling tier.
     pub verified_sampled: u64,
     /// A\* states expanded during verification, summed over every world
     /// the run searched (the per-question EXPLAIN figure).
@@ -52,7 +67,7 @@ pub struct JoinStats {
     /// Verification decisions per stopping reason, keyed by
     /// `StopReason::label()` in the order the reasons first fired.
     stops: Vec<(&'static str, u64)>,
-    /// CPU time spent in the pruning phase (summed per pair).
+    /// CPU time spent in the pruning phase (summed per cascade evaluation).
     pub pruning_time: Duration,
     /// CPU time spent in the refinement (verification) phase.
     pub verification_time: Duration,
@@ -180,6 +195,7 @@ impl JoinStats {
         }
         self.candidates += other.candidates;
         self.results += other.results;
+        self.verifications += other.verifications;
         self.worlds_verified += other.worlds_verified;
         self.worlds_sampled += other.worlds_sampled;
         self.verified_exact += other.verified_exact;
@@ -238,8 +254,15 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = JoinStats { pairs_total: 5, candidates: 2, ..Default::default() };
-        let mut b = JoinStats { pairs_total: 7, candidates: 1, results: 1, ..Default::default() };
+        let mut a =
+            JoinStats { pairs_total: 5, candidates: 2, verifications: 1, ..Default::default() };
+        let mut b = JoinStats {
+            pairs_total: 7,
+            candidates: 1,
+            results: 1,
+            verifications: 1,
+            ..Default::default()
+        };
         b.record_pruned("size", 3);
         b.record_pruned("label_multiset", 1);
         a.record_pruned("size", 2);
@@ -247,6 +270,7 @@ mod tests {
         assert_eq!(a.pairs_total, 12);
         assert_eq!(a.candidates, 3);
         assert_eq!(a.results, 1);
+        assert_eq!(a.verifications, 2);
         assert_eq!(a.pruned_size(), 5);
         assert_eq!(a.pruned_label_multiset(), 1);
         assert_eq!(a.pruned_total(), 6);

@@ -37,19 +37,24 @@ pub struct TopKMatch {
 pub struct TopKStats {
     /// Candidates surviving the structural filter.
     pub candidates: u64,
-    /// Candidates whose exact probability was computed.
+    /// Candidates whose exact probability was decided, by a verification
+    /// of their own or as a copy of an identical query's.
     pub verified: u64,
+    /// Exact-probability computations actually run: one per class of
+    /// identical queries reached, so at most `verified`.
+    pub verifications: u64,
     /// Candidates skipped by the threshold-algorithm stop.
     pub ta_skipped: u64,
     /// Total wall time.
     pub elapsed: std::time::Duration,
 }
 
-/// For each `g ∈ u`, the top `k` queries of `d` by `SimP_τ`, descending.
-/// Queries with zero probability are never reported. Prefilters with the
-/// join driver's size window and the `CssOnly` cascade's τ-prunes (a
-/// pruned pair has `SimP_τ = 0`); the probabilistic α-stages never apply
-/// here because top-k has no α threshold.
+/// For each `g ∈ u`, the top `k` queries of `d` by `SimP_τ`, descending,
+/// ties in `D` order. Queries with zero probability are never reported.
+/// Prefilters with the join driver's size window and the `CssOnly`
+/// cascade's τ-prunes (a pruned pair has `SimP_τ = 0`); the probabilistic
+/// α-stages never apply here because top-k has no α threshold. Identical
+/// queries of `D` share one bound and one verification.
 pub fn sim_join_topk(
     table: &SymbolTable,
     d: &[Graph],
@@ -70,33 +75,48 @@ pub fn sim_join_topk(
     let mut scratch = JoinStats::default();
     for g in u {
         // Structural filter + upper-bound ranking, reusing the CSS stage's
-        // terms for the Markov bound.
-        let mut candidates: Vec<(usize, f64)> = Vec::new();
-        index.filter(table, g, &params, &mut matcher, &mut scratch, |qi, candidate, _, _| {
-            candidates.push((qi, ub_simp_with_terms(table, &d[qi], g, tau, &candidate.terms)));
+        // terms for the Markov bound: one bound per surviving class, then
+        // one `(q_index, bound, class slot)` entry per member.
+        let mut candidates: Vec<(usize, f64, usize)> = Vec::new();
+        let mut classes = 0;
+        index.filter(table, g, &params, &mut matcher, &mut scratch, |members, candidate, _, _| {
+            let q = &d[members[0] as usize];
+            let ub = ub_simp_with_terms(table, q, g, tau, &candidate.terms);
+            candidates.extend(members.iter().map(|&qi| (qi as usize, ub, classes)));
+            classes += 1;
         });
         stats.candidates += candidates.len() as u64;
         // Bound descending, ties in `D` order.
         candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite bound").then(a.0.cmp(&b.0)));
 
+        // Each class's exact outcome, computed when its first member is
+        // reached and copied to the rest.
+        let mut decided: Vec<Option<(f64, Option<GedResult>)>> = vec![None; classes];
         let mut top: Vec<TopKMatch> = Vec::with_capacity(k + 1);
-        for (rank, &(qi, ub)) in candidates.iter().enumerate() {
-            let kth = if top.len() >= k { top[k - 1].prob } else { 0.0 };
-            if top.len() >= k && ub <= kth {
-                // Threshold-algorithm stop: no later candidate can beat
-                // the current k-th (bounds are sorted descending).
-                stats.ta_skipped += (candidates.len() - rank) as u64;
-                break;
+        for (rank, &(qi, ub, slot)) in candidates.iter().enumerate() {
+            if let Some(kth) = k.checked_sub(1).and_then(|i| top.get(i)) {
+                // Threshold-algorithm stop: bounds are sorted descending
+                // and equal bounds by `q_index`, so no later candidate can
+                // beat the current k-th, nor tie it from earlier in `D`.
+                if ub < kth.prob || (ub == kth.prob && qi > kth.q_index) {
+                    stats.ta_skipped += (candidates.len() - rank) as u64;
+                    break;
+                }
             }
             stats.verified += 1;
-            let outcome = verify_simp_with(&mut engine, table, &d[qi], g, tau, f64::INFINITY);
-            if outcome.prob > 0.0 {
-                top.push(TopKMatch {
-                    q_index: qi,
-                    prob: outcome.prob,
-                    mapping: outcome.best_mapping,
+            let (prob, mapping) = decided[slot].get_or_insert_with(|| {
+                stats.verifications += 1;
+                let outcome = verify_simp_with(&mut engine, table, &d[qi], g, tau, f64::INFINITY);
+                (outcome.prob, outcome.best_mapping)
+            });
+            if *prob > 0.0 {
+                top.push(TopKMatch { q_index: qi, prob: *prob, mapping: mapping.clone() });
+                top.sort_by(|a, b| {
+                    b.prob
+                        .partial_cmp(&a.prob)
+                        .expect("finite probability")
+                        .then(a.q_index.cmp(&b.q_index))
                 });
-                top.sort_by(|a, b| b.prob.partial_cmp(&a.prob).expect("finite probability"));
                 top.truncate(k);
             }
         }
