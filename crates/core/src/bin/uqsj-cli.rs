@@ -250,6 +250,12 @@ fn generate(opts: &Options) -> ExitCode {
         precision * 100.0,
         result.library.len()
     );
+    println!(
+        "generate: {:.1} ms, {} generate_template calls, {} class members reused",
+        result.generate_time.as_secs_f64() * 1e3,
+        result.fold.generated,
+        result.fold.reused
+    );
 
     let write = |name: &str, contents: String| -> std::io::Result<()> {
         std::fs::write(out_dir.join(name), contents)

@@ -1,8 +1,9 @@
 //! The end-to-end pipeline of Fig. 1: workload → similar graph pairs →
 //! templates, plus the evaluation judgments the experiments report.
 
+use std::time::{Duration, Instant};
 use uqsj_simjoin::{JoinIndex, JoinMatch, JoinParams, JoinStats};
-use uqsj_template::{generate_template, TemplateLibrary, TemplateSource};
+use uqsj_template::{fold_templates, ClassPair, FoldStats, TemplateLibrary, TemplateSource};
 use uqsj_workload::Dataset;
 
 /// Everything one pipeline run produces.
@@ -13,6 +14,11 @@ pub struct PipelineResult {
     pub library: TemplateLibrary,
     /// Join instrumentation.
     pub stats: JoinStats,
+    /// Wall time of template generation and deduplication, after the join.
+    pub generate_time: Duration,
+    /// Template generation counters: `generate_template` calls and the
+    /// matches that reused their query class's template.
+    pub fold: FoldStats,
 }
 
 /// Run the SimJ join over a dataset and build templates from every
@@ -23,28 +29,32 @@ pub struct PipelineResult {
 /// library is the one [`uqsj_simjoin::sim_join`] at one thread would
 /// build. `stats` carries the summed per-pair times and, when more than
 /// one worker ran, the join's wall clock in `wall_time`.
+///
+/// Templates are generated through [`fold_templates`], once per (class of
+/// identical queries, question) wherever the class's members would yield
+/// the same template; the library equals the one built from
+/// `generate_template` of every match.
 pub fn generate_templates(dataset: &Dataset, params: JoinParams) -> PipelineResult {
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let (matches, stats) = JoinIndex::build(&dataset.d_graphs).join(
-        &dataset.table,
-        &dataset.u_graphs,
-        params,
-        threads,
-    );
-    let mut library = TemplateLibrary::new();
-    for m in &matches {
-        let source = TemplateSource {
+    let index = JoinIndex::build(&dataset.d_graphs);
+    let (matches, stats) = index.join(&dataset.table, &dataset.u_graphs, params, threads);
+    let started = Instant::now();
+    let (templates, fold) = fold_templates(matches.iter().map(|m| ClassPair {
+        g: m.g_index,
+        class: index.class_of(m.q_index),
+        source: TemplateSource {
             analysis: &dataset.analyses[m.g_index],
             query: &dataset.d_queries[m.q_index],
             query_terms: &dataset.d_terms[m.q_index],
             mapping: &m.mapping,
             confidence: m.prob,
-        };
-        if let Some(t) = generate_template(&source) {
-            library.add(t);
-        }
+        },
+    }));
+    let mut library = TemplateLibrary::new();
+    for t in templates {
+        library.add(t);
     }
-    PipelineResult { matches, library, stats }
+    PipelineResult { matches, library, stats, generate_time: started.elapsed(), fold }
 }
 
 /// Join-quality judgment of Sec. 7.1.2: the number of correct returned

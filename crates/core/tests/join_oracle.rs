@@ -3,7 +3,9 @@
 //! reference built from `sim_join` at one thread plus a linear-scan dedup:
 //! the same matches with the same probabilities, mappings and world
 //! probabilities, the same join counters and per-stage funnel, and the
-//! same library in the same order with the same confidences.
+//! same library in the same order with the same confidences, although
+//! `generate_templates` generates one template per (query class,
+//! question) wherever the class's members agree.
 
 use uqsj::pipeline::generate_templates;
 use uqsj::prelude::*;
@@ -50,33 +52,48 @@ fn assert_same_counters(a: &JoinStats, b: &JoinStats, what: &str) {
 
 #[test]
 fn generate_templates_equals_the_sequential_join_and_linear_dedup() {
-    let dataset =
-        webq_like(&DatasetConfig { questions: 160, distractors: 240, max_relations: 3, seed: 42 });
-    let params = JoinParams::simj(1, 0.7);
-    let mined = generate_templates(&dataset, params);
-    let (matches, stats) = sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
-    assert!(matches.len() > 100, "only {} matches", matches.len());
+    for seed in [42, 7] {
+        let dataset =
+            webq_like(&DatasetConfig { questions: 160, distractors: 240, max_relations: 3, seed });
+        let params = JoinParams::simj(1, 0.7);
+        let mined = generate_templates(&dataset, params);
+        let (matches, stats) =
+            sim_join(&dataset.table, &dataset.d_graphs, &dataset.u_graphs, params);
+        assert!(matches.len() > 100, "seed {seed}: only {} matches", matches.len());
 
-    assert_eq!(mined.matches, matches, "matches differ from the sequential join");
-    assert_same_counters(&mined.stats, &stats, "generate_templates");
-    assert_eq!(stats.pairs_total, stats.pruned_total() + stats.candidates);
+        assert_eq!(mined.matches, matches, "seed {seed}: matches differ from the sequential join");
+        assert_same_counters(&mined.stats, &stats, "generate_templates");
+        assert_eq!(stats.pairs_total, stats.pruned_total() + stats.candidates);
 
-    // The same driver on 3 threads, whatever the core count here.
-    let (threaded, threaded_stats) =
-        JoinIndex::build(&dataset.d_graphs).join(&dataset.table, &dataset.u_graphs, params, 3);
-    assert_eq!(threaded, matches, "3-thread matches differ from the sequential join");
-    assert_same_counters(&threaded_stats, &stats, "3 threads");
+        // The same driver on 3 threads, whatever the core count here.
+        let (threaded, threaded_stats) =
+            JoinIndex::build(&dataset.d_graphs).join(&dataset.table, &dataset.u_graphs, params, 3);
+        assert_eq!(threaded, matches, "seed {seed}: 3-thread matches differ");
+        assert_same_counters(&threaded_stats, &stats, "3 threads");
 
-    let reference = linear_scan_library(&dataset, &matches);
-    let library = mined.library.templates();
-    assert!(reference.len() > 10, "only {} templates", reference.len());
-    assert!(reference.len() < matches.len(), "the workload has no duplicate template");
-    assert_eq!(library.len(), reference.len(), "library size");
-    for (i, (got, want)) in library.iter().zip(&reference).enumerate() {
-        assert_eq!(got.dedup_key(), want.dedup_key(), "template {i}");
-        assert_eq!(got.confidence, want.confidence, "template {i} confidence");
+        // The library, built from one template per (query class, question)
+        // where the members agree, equals per-match generation: the same
+        // templates in the same order, with the same confidences and trees.
+        let reference = linear_scan_library(&dataset, &matches);
+        let library = mined.library.templates();
+        assert!(reference.len() > 10, "seed {seed}: only {} templates", reference.len());
+        assert!(reference.len() < matches.len(), "seed {seed}: no duplicate template");
+        assert_eq!(library.len(), reference.len(), "seed {seed}: library size");
+        for (i, (got, want)) in library.iter().zip(&reference).enumerate() {
+            assert_eq!(got, want, "seed {seed}: template {i}");
+        }
+        assert_eq!(mined.library.signatures().len(), library.len());
+        let fold = mined.fold;
+        assert_eq!(fold.generated + fold.reused, matches.len(), "seed {seed}: fold counts");
+        assert!(fold.reused > 0, "seed {seed}: no match reused its class's template");
+        println!(
+            "seed {seed}: {} matches, {} generate_template calls, {} reused, {} templates",
+            matches.len(),
+            fold.generated,
+            fold.reused,
+            library.len()
+        );
     }
-    assert_eq!(mined.library.signatures().len(), library.len());
 }
 
 /// The funnel counters of two runs over the same logical pairs agree:

@@ -12,7 +12,7 @@ use uqsj_nlp::semantic::AnalysisError;
 use uqsj_nlp::{analyze_question, Lexicon};
 use uqsj_simjoin::{GedEngine, JoinIndex, JoinMatch, JoinParams, JoinStats};
 use uqsj_sparql::{SparqlQuery, Term};
-use uqsj_template::{generate_template, Template, TemplateSource};
+use uqsj_template::{fold_templates, ClassPair, FoldStats, Template, TemplateSource};
 use uqsj_workload::Dataset;
 
 /// Why a question could not be ingested.
@@ -48,11 +48,16 @@ pub struct IngestOutcome {
     /// Qualifying `⟨q, g⟩` pairs, sorted by `q_index` — the order a batch
     /// join visits them.
     pub matches: Vec<JoinMatch>,
-    /// Templates generated from the matches, in match order, *before*
-    /// library deduplication.
+    /// Templates generated from the matches, in match order. A match whose
+    /// template would be identical to an earlier match's of the same query
+    /// class contributes none (see [`fold_templates`]); other duplicates
+    /// are left for the library to merge.
     pub templates: Vec<Template>,
     /// Join counters for this single question (pairs_total = |D|).
     pub stats: JoinStats,
+    /// Template generation counters: `generate_template` calls and the
+    /// matches that reused their query class's template.
+    pub fold: FoldStats,
 }
 
 /// Joins newly arriving questions against a fixed SPARQL workload.
@@ -111,8 +116,9 @@ impl Ingestor {
     }
 
     /// Analyze one new question, join its uncertain graph against `D`
-    /// through the size index, and generate a template per qualifying
-    /// pair. Feed `outcome.templates` to the server's `insert_templates`.
+    /// through the size index, and generate the templates of the qualifying
+    /// pairs, once per query class where its members agree. Feed
+    /// `outcome.templates` to the server's `insert_templates`.
     pub fn ingest(
         &mut self,
         lexicon: &Lexicon,
@@ -126,18 +132,17 @@ impl Ingestor {
         let (matches, stats) =
             self.index.join_one_with(&mut self.engine, &self.table, g_index, &g, self.params);
 
-        let templates: Vec<Template> = matches
-            .iter()
-            .filter_map(|m| {
-                generate_template(&TemplateSource {
-                    analysis: &analysis,
-                    query: &self.d_queries[m.q_index],
-                    query_terms: &self.d_terms[m.q_index],
-                    mapping: &m.mapping,
-                    confidence: m.prob,
-                })
-            })
-            .collect();
+        let (templates, fold) = fold_templates(matches.iter().map(|m| ClassPair {
+            g: g_index,
+            class: self.index.class_of(m.q_index),
+            source: TemplateSource {
+                analysis: &analysis,
+                query: &self.d_queries[m.q_index],
+                query_terms: &self.d_terms[m.q_index],
+                mapping: &m.mapping,
+                confidence: m.prob,
+            },
+        }));
         // One structured line per generated template — quiet (a single
         // atomic load) unless a log sink is installed, e.g. by the CLI's
         // serve command or a test's `SharedBuf`.
@@ -155,6 +160,6 @@ impl Ingestor {
                 );
             }
         }
-        Ok(IngestOutcome { g_index, matches, templates, stats })
+        Ok(IngestOutcome { g_index, matches, templates, stats, fold })
     }
 }

@@ -112,15 +112,21 @@ fn replaying_every_question_incrementally_rebuilds_the_batch_library() {
     let mut incremental = TemplateLibrary::new();
     let mut all_matches: Vec<JoinMatch> = Vec::new();
     let mut ingested_any_templates = false;
+    let mut reused = 0;
     for pair in &d.pairs {
         let outcome = ingestor.ingest(&d.kb.lexicon, &pair.question).expect("analyzable");
         ingested_any_templates |= !outcome.templates.is_empty();
+        // Every match either generated or reused its query class's outcome.
+        assert_eq!(outcome.fold.generated + outcome.fold.reused, outcome.matches.len());
+        reused += outcome.fold.reused;
         all_matches.extend(outcome.matches);
         for t in outcome.templates {
             incremental.add(t);
         }
     }
     assert!(ingested_any_templates);
+    eprintln!("{} matches, {reused} reused their query class's template", all_matches.len());
+    assert!(reused > 0, "no match reused its class's template — the fold is untested here");
     assert_eq!(all_matches, full_matches, "concatenated ingest matches != batch matches");
     assert_eq!(incremental.templates(), full.templates());
 }

@@ -62,6 +62,8 @@ struct Class {
 pub struct JoinIndex<'a> {
     d: Cow<'a, [Graph]>,
     classes: Vec<Class>,
+    /// `class_of[q]` is the id of the class query `q` belongs to.
+    class_of: Box<[u32]>,
     /// `(vertex_count, edge_count, class id)`, sorted.
     by_size: Vec<(u32, u32, u32)>,
 }
@@ -81,15 +83,20 @@ impl<'a> JoinIndex<'a> {
     fn over(d: Cow<'a, [Graph]>) -> Self {
         // A graph is its vertex-label sequence plus its edge list, so two
         // queries with equal slices are the same graph.
-        let mut class_of = HashMap::with_capacity(d.len());
+        let mut by_graph = HashMap::with_capacity(d.len());
         let mut members: Vec<Vec<u32>> = Vec::new();
-        for (i, q) in d.iter().enumerate() {
-            let c = *class_of.entry((q.vertex_labels(), q.edges())).or_insert_with(|| {
-                members.push(Vec::new());
-                members.len() - 1
-            });
-            members[c].push(i as u32);
-        }
+        let class_of: Box<[u32]> = d
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                let c = *by_graph.entry((q.vertex_labels(), q.edges())).or_insert_with(|| {
+                    members.push(Vec::new());
+                    members.len() - 1
+                });
+                members[c].push(i as u32);
+                c as u32
+            })
+            .collect();
         let classes: Vec<Class> = members
             .into_iter()
             .map(|m| Class { summary: Summary::of_graph(&d[m[0] as usize]), members: m.into() })
@@ -100,7 +107,7 @@ impl<'a> JoinIndex<'a> {
             .map(|(c, class)| (class.summary.v, class.summary.e, c as u32))
             .collect();
         by_size.sort_unstable();
-        Self { d, classes, by_size }
+        Self { d, classes, class_of, by_size }
     }
 
     /// Classes whose size bound against `(v, e)` is within `tau`.
@@ -122,6 +129,17 @@ impl<'a> JoinIndex<'a> {
     /// and the verifier run at most this many times per uncertain graph.
     pub fn class_count(&self) -> usize {
         self.classes.len()
+    }
+
+    /// The class of identical queries that query `q` belongs to, an id
+    /// below [`JoinIndex::class_count`]. Two queries share a class exactly
+    /// when they are the same graph, so they get the same verdict and
+    /// mapping from every join.
+    ///
+    /// # Panics
+    /// Panics if `q` is not a query id of the indexed `D`.
+    pub fn class_of(&self, q: usize) -> u32 {
+        self.class_of[q]
     }
 
     /// The indexed side.
@@ -430,6 +448,11 @@ mod tests {
         d.push(b.into_graph());
         let index = JoinIndex::build(&d);
         assert_eq!(index.class_count(), d.len() - 1);
+        assert_eq!(index.class_of(5), index.class_of(2), "the copy joins d[2]'s class");
+        let mut ids: Vec<u32> = (0..d.len()).map(|q| index.class_of(q)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), index.class_count(), "every other query is a class of its own");
         let mut window: Vec<usize> = index.candidates(3, 2, 0).collect();
         window.sort_unstable();
         assert_eq!(window, [2, 5], "both copies of d[2] are in the window");

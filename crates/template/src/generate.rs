@@ -7,8 +7,12 @@
 //! constant of the query becomes a paired slot: the mention's tokens are
 //! replaced by `<_>` in the NL pattern and the constant is replaced by a
 //! slot placeholder in the SPARQL pattern, preserving the correspondence.
+//!
+//! [`fold_templates`] runs [`generate_template`] over a join's matches,
+//! once per (query class, question) wherever the class's members would
+//! yield the same template.
 
-use crate::template::{slot_term, SlotBinding, Template};
+use crate::template::{slot_index, slot_term, SlotBinding, Template, SPARQL_SLOT_PREFIX};
 use uqsj_ged::astar::GedResult;
 use uqsj_nlp::align::SLOT_TOKEN;
 use uqsj_nlp::semantic::QuestionAnalysis;
@@ -94,6 +98,159 @@ pub fn generate_template(src: &TemplateSource<'_>) -> Option<Template> {
         return None;
     }
     Some(Template::new(nl_tokens, sparql, slots, src.confidence))
+}
+
+/// One qualifying pair handed to [`fold_templates`].
+pub struct ClassPair<'a> {
+    /// The question (uncertain graph) of the pair.
+    pub g: usize,
+    /// The class of identical query graphs that `source.query` belongs to.
+    pub class: u32,
+    /// What [`generate_template`] reads for this pair.
+    pub source: TemplateSource<'a>,
+}
+
+/// What one [`fold_templates`] run did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FoldStats {
+    /// [`generate_template`] calls: one per (class, question), plus one per
+    /// member that could not reuse its class's outcome.
+    pub generated: usize,
+    /// Members that reused their class's outcome without generating.
+    pub reused: usize,
+}
+
+/// The first pair of a class within one question's run, and its outcome.
+struct Leader<'a> {
+    class: u32,
+    source: TemplateSource<'a>,
+    /// Position of the leader's template in the output, if it made one.
+    template: Option<usize>,
+}
+
+/// Generate the templates of `pairs`, in order, dropping each template
+/// that is identical to one already generated for the same class and
+/// question. Adding the result to a [`crate::TemplateLibrary`] builds the
+/// library that adding `generate_template` of every pair would.
+///
+/// Members of a class are the same graph, so a join gives them the same
+/// mapping and probability, and their templates differ only through
+/// their SPARQL terms. The first pair of each class within a question's
+/// run (consecutive pairs with the same `g`) generates its template. A
+/// later member reuses that outcome (a template, or none) when
+///
+/// * its mapping, probability and analysis are the leader's;
+/// * the leader's bound slots are exactly the mentions that the mapping
+///   sends to a constant of the member (none, when the leader made no
+///   template), and none of those constants is itself a slot
+///   placeholder;
+/// * its SPARQL equals the leader's template once each of those constants
+///   is read as its slot's placeholder: the same `select`, predicates,
+///   subjects and objects, with every slot filled somewhere (so one
+///   constant at two slotted vertices never matches).
+///
+/// Any other member generates its own template. The check allocates
+/// nothing. A reused member's template would equal the leader's, so
+/// leaving it out changes neither the first-wins order nor the
+/// max-confidence merge of the library.
+pub fn fold_templates<'a>(
+    pairs: impl IntoIterator<Item = ClassPair<'a>>,
+) -> (Vec<Template>, FoldStats) {
+    let mut templates = Vec::new();
+    let mut stats = FoldStats::default();
+    let mut g = None;
+    let mut leaders: Vec<Leader<'a>> = Vec::new();
+    let mut slotted = Vec::new();
+    for pair in pairs {
+        if g != Some(pair.g) {
+            g = Some(pair.g);
+            leaders.clear();
+        }
+        if let Some(leader) = leaders.iter().find(|l| l.class == pair.class) {
+            if reuses(leader, &pair.source, &templates, &mut slotted) {
+                stats.reused += 1;
+            } else {
+                stats.generated += 1;
+                templates.extend(generate_template(&pair.source));
+            }
+            continue;
+        }
+        stats.generated += 1;
+        let template = generate_template(&pair.source).map(|t| {
+            templates.push(t);
+            templates.len() - 1
+        });
+        leaders.push(Leader { class: pair.class, source: pair.source, template });
+    }
+    (templates, stats)
+}
+
+/// The query term that `src.mapping` sends to mention `i`, found the way
+/// [`generate_template`] finds it (the last query vertex mapped there).
+fn mention_term<'a>(src: &TemplateSource<'a>, i: usize) -> Option<&'a Term> {
+    let gv = src.analysis.mention_spans[i].0;
+    let qv = src.mapping.mapping.iter().rposition(|v| v.is_some_and(|v| v.index() == gv))?;
+    src.query_terms.get(qv)
+}
+
+/// Whether `member` would generate exactly the leader's outcome. Fills
+/// `slotted` with each slotted mention's constant in `member`, and whether
+/// it was found in the SPARQL.
+fn reuses<'a>(
+    leader: &Leader<'_>,
+    member: &TemplateSource<'a>,
+    templates: &[Template],
+    slotted: &mut Vec<(usize, &'a Term, bool)>,
+) -> bool {
+    let lead = &leader.source;
+    if !std::ptr::eq(lead.analysis, member.analysis)
+        || lead.mapping != member.mapping
+        || lead.confidence != member.confidence
+    {
+        return false;
+    }
+    slotted.clear();
+    for i in 0..member.analysis.mention_spans.len() {
+        if let Some(c) = mention_term(member, i).filter(|t| !t.is_var()) {
+            if slot_index(c).is_some() {
+                return false;
+            }
+            slotted.push((i, c, false));
+        }
+    }
+    let Some(at) = leader.template else { return slotted.is_empty() };
+    let (Template { sparql, slots, .. }, query) = (&templates[at], member.query);
+    let bound = slots.iter().filter(|&s| *s == SlotBinding::Bound).count();
+    if bound != slotted.len() || slotted.iter().any(|&(i, _, _)| slots[i] != SlotBinding::Bound) {
+        return false;
+    }
+    if sparql.select != query.select || sparql.triples.len() != query.triples.len() {
+        return false;
+    }
+    for (t, q) in sparql.triples.iter().zip(&query.triples) {
+        if t.predicate != q.predicate {
+            return false;
+        }
+        for (t, q) in [(&t.subject, &q.subject), (&t.object, &q.object)] {
+            match slotted.iter_mut().find(|(_, c, _)| *c == q) {
+                Some((i, _, found)) if is_slot_term(t, *i) => *found = true,
+                Some(_) => return false,
+                None if t != q => return false,
+                None => {}
+            }
+        }
+    }
+    slotted.iter().all(|&(_, _, found)| found)
+}
+
+/// Whether `t` is exactly [`slot_term`]`(i)`, without building it.
+fn is_slot_term(t: &Term, i: usize) -> bool {
+    let Term::Iri(iri) = t else { return false };
+    iri.strip_prefix(SPARQL_SLOT_PREFIX).and_then(|s| s.strip_suffix("__")).is_some_and(|d| {
+        d.bytes().all(|b| b.is_ascii_digit())
+            && (d == "0" || !d.starts_with('0'))
+            && d.parse() == Ok(i)
+    })
 }
 
 #[cfg(test)]

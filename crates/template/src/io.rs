@@ -47,7 +47,9 @@ pub fn to_text(library: &TemplateLibrary) -> String {
     for t in library.templates() {
         let slots: String =
             t.slots.iter().map(|s| if *s == SlotBinding::Bound { 'B' } else { 'U' }).collect();
-        out.push_str(&format!("#template confidence={:.6} slots={}\n", t.confidence, slots));
+        // `{}` is the shortest text that parses back to the same f64, so a
+        // reloaded library breaks ranking ties exactly as the mined one.
+        out.push_str(&format!("#template confidence={} slots={}\n", t.confidence, slots));
         out.push_str(&format!("nl: {}\n", t.nl_tokens.join(" ")));
         let sparql_one_line = t.sparql.to_string().replace('\n', " ");
         out.push_str(&format!("sparql: {}\n\n", sparql_one_line));
@@ -164,7 +166,25 @@ mod tests {
         assert_eq!(a.nl_tokens, b.nl_tokens);
         assert_eq!(a.sparql, b.sparql);
         assert_eq!(a.slots, b.slots);
-        assert!((a.confidence - b.confidence).abs() < 1e-6);
+        assert_eq!(a.confidence, b.confidence);
+    }
+
+    #[test]
+    fn confidence_roundtrips_exactly_and_fixed_precision_still_parses() {
+        let sparql = "SELECT ?x WHERE { ?x type __SLOT_0__ }";
+        let mut lib = TemplateLibrary::new();
+        lib.add(Template::new(
+            vec!["Which".into(), "<_>".into(), "?".into()],
+            uqsj_sparql::parse(sparql).unwrap(),
+            vec![SlotBinding::Bound],
+            0.1 + 0.2,
+        ));
+        let parsed = from_text(&to_text(&lib)).unwrap();
+        assert_eq!(parsed.templates()[0].confidence, 0.1 + 0.2);
+        // Files written with six fixed decimals load as before.
+        let old =
+            format!("#template confidence=0.300000 slots=B\nnl: Which <_> ?\nsparql: {sparql}\n");
+        assert_eq!(from_text(&old).unwrap().templates()[0].confidence, 0.3);
     }
 
     #[test]

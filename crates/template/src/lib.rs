@@ -20,7 +20,7 @@ pub mod metrics;
 pub mod qa;
 pub mod template;
 
-pub use generate::{generate_template, TemplateSource};
+pub use generate::{fold_templates, generate_template, ClassPair, FoldStats, TemplateSource};
 pub use qa::{
     answer_across, answer_question, AnswerStats, CandidateRef, MultiAnswer, QaOutcome,
     TemplateLibrary,

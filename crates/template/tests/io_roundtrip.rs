@@ -42,12 +42,19 @@ fn mined_library_roundtrips_through_text() {
         assert_eq!(a.sparql, b.sparql);
         assert_eq!(a.slots, b.slots);
         assert_eq!(a.dep_tree, b.dep_tree, "dep tree must rebuild identically");
-        // Confidence is serialized with 6 decimal places.
-        assert!((a.confidence - b.confidence).abs() < 1e-6);
+        // Confidence is serialized in its shortest round-trip form, so the
+        // reloaded library breaks (TED, confidence) ties like the mined one.
+        assert_eq!(a.confidence, b.confidence);
     }
+    assert!(
+        library
+            .templates()
+            .iter()
+            .any(|t| format!("{:.6}", t.confidence).parse() != Ok(t.confidence)),
+        "no confidence needs more than 6 decimals — the exact check is vacuous"
+    );
 
-    // A second round trip is textually stable (parse → print is a fixpoint
-    // once confidences are at serialized precision).
+    // A second round trip is textually stable (parse → print is a fixpoint).
     let text2 = to_text(&reloaded);
     assert_eq!(text, text2, "second serialization must be byte-identical");
 }

@@ -76,7 +76,7 @@ proptest! {
             prop_assert_eq!(&a.nl_tokens, &b.nl_tokens);
             prop_assert_eq!(&a.sparql, &b.sparql);
             prop_assert_eq!(&a.slots, &b.slots);
-            prop_assert!((a.confidence - b.confidence).abs() < 1e-6);
+            prop_assert_eq!(a.confidence, b.confidence);
         }
         // Fixpoint.
         prop_assert_eq!(to_text(&parsed), text);
