@@ -1,6 +1,6 @@
-//! Verification fast-path ablation: τ-bounded A\* alone versus the
-//! bipartite-upper-bound fast accept followed by A\* fallback (the path
-//! `verify_simp` actually takes).
+//! Verification fast-path ablation: τ-bounded A\* alone (the path
+//! `verify_simp` takes) versus the bipartite-upper-bound fast accept
+//! followed by A\* fallback, which verification no longer runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;

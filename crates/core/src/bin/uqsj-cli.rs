@@ -676,6 +676,11 @@ fn join(opts: &Options) -> ExitCode {
         stats.verifications,
         stats.candidates - stats.verifications
     );
+    let split = &stats.verify_split;
+    println!(
+        "verify split: profile {:?} | enumerate {:?} | css {:?} | search {:?}",
+        split.profile, split.enumerate, split.css, split.search
+    );
     println!(
         "tiers: exact {} sampled {} | worlds verified {} sampled {} | seed {}",
         stats.verified_exact,

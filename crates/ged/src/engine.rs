@@ -33,26 +33,79 @@ use uqsj_graph::{Edge, Graph, Symbol, SymbolTable, UncertainGraph, VertexId};
 
 const EPS: u32 = u32::MAX;
 
+/// Edge label ids per ordered vertex pair of one graph, in CSR form: the
+/// labels of the pair `(a, b)` are `lids[start[a·n + b]..start[a·n + b + 1]]`.
+/// Rebuilt in place, so a reused table allocates only when it grows.
+#[derive(Default)]
+struct PairLabels {
+    n: usize,
+    start: Vec<u32>,
+    lids: Vec<u32>,
+}
+
+impl PairLabels {
+    /// Rebuild over `n` vertices from `edges` and the label id of each.
+    fn build(&mut self, n: usize, edges: &[Edge], lid: impl Fn(usize) -> u32) {
+        self.n = n;
+        self.start.clear();
+        self.start.resize(n * n + 1, 0);
+        for e in edges {
+            self.start[e.src.index() * n + e.dst.index()] += 1;
+        }
+        let mut end = 0;
+        for s in &mut self.start {
+            end += *s;
+            *s = end;
+        }
+        // Each pair's slot counts down from its end; afterwards `start[i]`
+        // is where pair `i` begins and `start[i + 1]` where it ends.
+        self.lids.clear();
+        self.lids.resize(edges.len(), 0);
+        for (i, e) in edges.iter().enumerate() {
+            let slot = &mut self.start[e.src.index() * n + e.dst.index()];
+            *slot -= 1;
+            self.lids[*slot as usize] = lid(i);
+        }
+    }
+
+    /// The edge label ids from `a` to `b`.
+    #[inline]
+    fn get(&self, a: u32, b: u32) -> &[u32] {
+        let i = a as usize * self.n + b as usize;
+        &self.lids[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
 /// Precomputed structure of one `(q, g)` pair: everything the search
 /// needs that does not depend on the current possible world except the
 /// g-side vertex labels, which can be patched per world via
 /// [`PairProfile::set_g_vertex_lid`] + [`PairProfile::commit_world`].
 ///
-/// Built once per pair by [`PairProfile::build_certain`] /
-/// [`PairProfile::build_uncertain`]; for an uncertain `g` every
-/// alternative label of every vertex is interned up front so world
-/// patching never allocates.
+/// The profile has a g side and a q side. [`PairProfile::prepare_uncertain`]
+/// builds the g side once per graph: its topology, edge-label buckets and
+/// the ids of every alternative label, so world patching never allocates.
+/// [`PairProfile::set_query`] then binds a query on top of it, adding only
+/// the query's own labels and its per-prefix count tables on reused
+/// buffers; it can be called again for the next query against the same
+/// `g`. [`PairProfile::build_certain`] does both steps for a pair of
+/// certain graphs.
 #[derive(Default)]
 pub struct PairProfile {
-    // ---- per-pair label space ----
+    // ---- label space: g's labels first, then the query's own ----
     lid_of: HashMap<Symbol, u32>,
     wild: Vec<bool>,
+    /// Label ids below this are g's; the bound query's own labels follow.
+    g_labels: usize,
+    /// Symbols the bound query added to the label space.
+    q_syms: Vec<Symbol>,
     // ---- q side (world-independent) ----
     n_q: usize,
     /// Processing order of q vertices (largest degree first, stable).
     order: Vec<u32>,
     /// Label id of `order[i]`.
     order_lid: Vec<u32>,
+    /// Position of each q vertex in `order` (build scratch).
+    q_pos: Vec<u32>,
     /// Row `k`: label counts of the q vertices not yet processed
     /// (`order[k..]`), laid out as `(n_q + 1) × L`.
     qv_cnt: Vec<u32>,
@@ -71,13 +124,14 @@ pub struct PairProfile {
     /// `(max position in order, lid)` per q edge.
     q_edge_info: Vec<(u32, u32)>,
     /// Edge label ids per ordered q vertex pair.
-    q_pairs: HashMap<(u32, u32), Vec<u32>>,
+    q_pairs: PairLabels,
     // ---- g side, world-independent (structure is certain) ----
     n_g: usize,
-    g_pairs: HashMap<(u32, u32), Vec<u32>>,
+    g_pairs: PairLabels,
     /// Per g vertex: `(endpoint mask, lid)` of every incident edge.
     g_adj: Vec<Vec<(u128, u32)>>,
-    /// Per lid: endpoint masks of the g edges carrying it.
+    /// Per lid: endpoint masks of the g edges carrying it (empty for the
+    /// query's own labels).
     g_edges_by_label: Vec<Vec<u128>>,
     /// `(endpoint mask, lid)` per g edge.
     g_edge_info: Vec<(u128, u32)>,
@@ -96,37 +150,11 @@ pub struct PairProfile {
 }
 
 impl PairProfile {
-    /// An empty profile; build it with one of the `build_*` methods.
+    /// An empty profile; build it with [`PairProfile::build_certain`], or
+    /// with [`PairProfile::prepare_uncertain`] and
+    /// [`PairProfile::set_query`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn clear(&mut self) {
-        self.lid_of.clear();
-        self.wild.clear();
-        self.order.clear();
-        self.order_lid.clear();
-        self.qv_cnt.clear();
-        self.qe_cnt.clear();
-        self.qn.clear();
-        self.qw.clear();
-        self.qen.clear();
-        self.qew.clear();
-        self.q_edge_removals.clear();
-        self.q_removal_start.clear();
-        self.q_edge_info.clear();
-        self.q_pairs.clear();
-        self.g_pairs.clear();
-        self.g_adj.clear();
-        self.g_edges_by_label.clear();
-        self.g_edge_info.clear();
-        self.ge_total_n = 0;
-        self.ge_total_w = 0;
-        self.g_full_mask = 0;
-        self.g_vlid.clear();
-        self.g_vmask.clear();
-        self.g_vtotal.clear();
-        self.g_nonwild_mask = 0;
     }
 
     fn intern(&mut self, table: &SymbolTable, s: Symbol) -> u32 {
@@ -143,20 +171,22 @@ impl PairProfile {
 
     /// Build the profile for a pair of certain graphs.
     pub fn build_certain(&mut self, table: &SymbolTable, q: &Graph, g: &Graph) {
-        self.build_impl(table, q, g.vertex_count(), g.edges(), |p, t| {
+        self.prepare_impl(table, g.vertex_count(), g.edges(), |p, t| {
             for v in g.vertices() {
                 let lid = p.intern(t, g.label(v));
                 p.g_vlid.push(lid);
             }
         });
+        self.set_query(table, q);
     }
 
-    /// Build the profile for `q` against the *structure* of an uncertain
-    /// graph. Every alternative label is interned so later world patches
-    /// resolve via [`PairProfile::lid`] without allocation; the initial
-    /// world selects alternative 0 of every vertex.
-    pub fn build_uncertain(&mut self, table: &SymbolTable, q: &Graph, g: &UncertainGraph) {
-        self.build_impl(table, q, g.vertex_count(), g.edges(), |p, t| {
+    /// Build the g side for the *structure* of an uncertain graph. Every
+    /// alternative label is interned so later world patches resolve via
+    /// [`PairProfile::lid`] without allocation; the initial world selects
+    /// alternative 0 of every vertex. The empty query is bound until
+    /// [`PairProfile::set_query`] binds another.
+    pub fn prepare_uncertain(&mut self, table: &SymbolTable, g: &UncertainGraph) {
+        self.prepare_impl(table, g.vertex_count(), g.edges(), |p, t| {
             for v in g.vertices() {
                 let first = p.intern(t, v.alternatives[0].label);
                 for alt in &v.alternatives[1..] {
@@ -165,50 +195,27 @@ impl PairProfile {
                 p.g_vlid.push(first);
             }
         });
+        self.set_query(table, &Graph::new());
     }
 
-    fn build_impl<F>(
-        &mut self,
-        table: &SymbolTable,
-        q: &Graph,
-        n_g: usize,
-        g_edges: &[Edge],
-        fill: F,
-    ) where
+    /// Reset the profile to g's side alone — topology, edge buckets and
+    /// the label ids `fill` interns for g's vertices — leaving the q side
+    /// stale until [`PairProfile::set_query`] rebuilds it.
+    fn prepare_impl<F>(&mut self, table: &SymbolTable, n_g: usize, g_edges: &[Edge], fill: F)
+    where
         F: FnOnce(&mut Self, &SymbolTable),
     {
-        self.clear();
         assert!(n_g <= 128, "A* GED supports up to 128 vertices");
-        let n = q.vertex_count();
-        self.n_q = n;
+        self.lid_of.clear();
+        self.wild.clear();
+        self.q_syms.clear();
         self.n_g = n_g;
         self.g_full_mask = if n_g == 128 { u128::MAX } else { (1u128 << n_g) - 1 };
-
-        // Fixed processing order: largest degree first. The sort must stay
-        // stable — the reference search uses `sort_by_key`, and expansion
-        // order (hence heap tie-breaking and the returned mapping) depends
-        // on it.
-        self.order.extend(0..n as u32);
-        self.order.sort_by_key(|&v| Reverse(q.degree(VertexId(v))));
-        let mut pos = vec![0usize; n];
-        for (i, &v) in self.order.iter().enumerate() {
-            pos[v as usize] = i;
-        }
-        for i in 0..n {
-            let v = self.order[i];
-            let lid = self.intern(table, q.label(VertexId(v)));
-            self.order_lid.push(lid);
-        }
-        for e in q.edges() {
-            let lid = self.intern(table, e.label);
-            let max_pos = pos[e.src.index()].max(pos[e.dst.index()]) as u32;
-            self.q_edge_info.push((max_pos, lid));
-            self.q_pairs.entry((e.src.0, e.dst.0)).or_default().push(lid);
-        }
+        self.g_adj.clear();
         self.g_adj.resize(n_g, Vec::new());
+        self.g_edge_info.clear();
         for e in g_edges {
             let lid = self.intern(table, e.label);
-            self.g_pairs.entry((e.src.0, e.dst.0)).or_default().push(lid);
             let emask = (1u128 << e.src.0) | (1u128 << e.dst.0);
             self.g_edge_info.push((emask, lid));
             self.g_adj[e.src.index()].push((emask, lid));
@@ -216,8 +223,74 @@ impl PairProfile {
                 self.g_adj[e.dst.index()].push((emask, lid));
             }
         }
+        let info = &self.g_edge_info;
+        self.g_pairs.build(n_g, g_edges, |i| info[i].1);
+        self.g_vlid.clear();
         fill(self, table);
         debug_assert_eq!(self.g_vlid.len(), n_g);
+        self.g_labels = self.wild.len();
+
+        // g-side per-label edge buckets (edge labels are certain, so these
+        // are world-independent too).
+        self.g_edges_by_label.clear();
+        self.g_edges_by_label.resize(self.g_labels, Vec::new());
+        let (mut gen_t, mut gew_t) = (0u32, 0u32);
+        for &(emask, lid) in &self.g_edge_info {
+            self.g_edges_by_label[lid as usize].push(emask);
+            if self.wild[lid as usize] {
+                gew_t += 1;
+            } else {
+                gen_t += 1;
+            }
+        }
+        self.ge_total_n = gen_t;
+        self.ge_total_w = gew_t;
+    }
+
+    /// Bind `q` to the prepared g side, replacing the previously bound
+    /// query. Only q's own labels and its per-prefix count tables are
+    /// built, on reused buffers; g's side and its current world stay.
+    pub fn set_query(&mut self, table: &SymbolTable, q: &Graph) {
+        for s in self.q_syms.drain(..) {
+            self.lid_of.remove(&s);
+        }
+        self.wild.truncate(self.g_labels);
+        self.order.clear();
+        self.order_lid.clear();
+        self.qv_cnt.clear();
+        self.qe_cnt.clear();
+        self.qn.clear();
+        self.qw.clear();
+        self.qen.clear();
+        self.qew.clear();
+        self.q_edge_removals.clear();
+        self.q_removal_start.clear();
+        self.q_edge_info.clear();
+
+        let n = q.vertex_count();
+        self.n_q = n;
+        // Fixed processing order: largest degree first. The sort must stay
+        // stable — the reference search uses `sort_by_key`, and expansion
+        // order (hence heap tie-breaking and the returned mapping) depends
+        // on it.
+        self.order.extend(0..n as u32);
+        self.order.sort_by_key(|&v| Reverse(q.degree(VertexId(v))));
+        self.q_pos.clear();
+        self.q_pos.resize(n, 0);
+        for (i, &v) in self.order.iter().enumerate() {
+            self.q_pos[v as usize] = i as u32;
+        }
+        for i in 0..n {
+            let lid = self.intern_query(table, q.label(VertexId(self.order[i])));
+            self.order_lid.push(lid);
+        }
+        for e in q.edges() {
+            let lid = self.intern_query(table, e.label);
+            let max_pos = self.q_pos[e.src.index()].max(self.q_pos[e.dst.index()]);
+            self.q_edge_info.push((max_pos, lid));
+        }
+        let info = &self.q_edge_info;
+        self.q_pairs.build(n, q.edges(), |i| info[i].1);
 
         // Per-prefix q-side count tables over the final label space.
         let l = self.wild.len();
@@ -292,26 +365,25 @@ impl PairProfile {
             self.q_removal_start.push(self.q_edge_removals.len() as u32);
         }
 
-        // g-side per-label edge buckets (edge labels are certain, so these
-        // are world-independent too).
+        // No g edge carries a label only the query has.
         self.g_edges_by_label.resize(l, Vec::new());
-        let (mut gen_t, mut gew_t) = (0u32, 0u32);
-        for &(emask, lid) in &self.g_edge_info {
-            self.g_edges_by_label[lid as usize].push(emask);
-            if self.wild[lid as usize] {
-                gew_t += 1;
-            } else {
-                gen_t += 1;
-            }
-        }
-        self.ge_total_n = gen_t;
-        self.ge_total_w = gew_t;
         self.g_vmask.resize(l, 0);
         self.g_vtotal.resize(l, 0);
         self.commit_world();
     }
 
-    /// The per-pair label id of `s`, if it occurred in the pair (all
+    /// [`PairProfile::intern`] for the query side: a label g does not
+    /// carry is remembered so the next [`PairProfile::set_query`] drops it.
+    fn intern_query(&mut self, table: &SymbolTable, s: Symbol) -> u32 {
+        let before = self.wild.len();
+        let lid = self.intern(table, s);
+        if self.wild.len() > before {
+            self.q_syms.push(s);
+        }
+        lid
+    }
+
+    /// The profile label id of `s`, if it occurred in the pair (all
     /// alternative labels of an uncertain `g` are interned at build time).
     #[inline]
     pub fn lid(&self, s: Symbol) -> Option<u32> {
@@ -322,7 +394,7 @@ impl PairProfile {
     /// [`PairProfile::commit_world`] after patching all changed vertices.
     #[inline]
     pub fn set_g_vertex_lid(&mut self, v: usize, lid: u32) {
-        debug_assert!((lid as usize) < self.wild.len());
+        debug_assert!((lid as usize) < self.g_labels);
         self.g_vlid[v] = lid;
     }
 
@@ -790,15 +862,12 @@ fn extend_cost(ws: &mut SearchSpace, p: &PairProfile, cur: &Node, target: u32) -
     let SearchSpace { cur_map, lam_cnt, lam_touch, .. } = ws;
     for (i, &img) in cur_map.iter().enumerate() {
         let w = p.order[i];
-        let q_fwd = p.q_pairs.get(&(w, u)).map_or(&[][..], Vec::as_slice);
-        let q_bwd = p.q_pairs.get(&(u, w)).map_or(&[][..], Vec::as_slice);
+        let q_fwd = p.q_pairs.get(w, u);
+        let q_bwd = p.q_pairs.get(u, w);
         let (g_fwd, g_bwd): (&[u32], &[u32]) = if img == EPS || target == EPS {
             (&[], &[])
         } else {
-            (
-                p.g_pairs.get(&(img, target)).map_or(&[][..], Vec::as_slice),
-                p.g_pairs.get(&(target, img)).map_or(&[][..], Vec::as_slice),
-            )
+            (p.g_pairs.get(img, target), p.g_pairs.get(target, img))
         };
         cost += edge_cost_lids(lam_cnt, lam_touch, &p.wild, q_fwd, g_fwd);
         cost += edge_cost_lids(lam_cnt, lam_touch, &p.wild, q_bwd, g_bwd);
@@ -990,7 +1059,8 @@ mod tests {
         let g = b.into_uncertain();
 
         let mut profile = PairProfile::new();
-        profile.build_uncertain(&t, &q, &g);
+        profile.prepare_uncertain(&t, &g);
+        profile.set_query(&t, &q);
         let mut engine = GedEngine::new();
         for world in g.possible_worlds() {
             for (v, &c) in world.choice.iter().enumerate() {
@@ -1003,6 +1073,66 @@ mod tests {
                 let patched = engine.run_profile(&profile, tau);
                 let rebuilt = ged_bounded_reference(&t, &q, &world.graph, tau);
                 assert_eq!(patched, rebuilt, "choice {:?} tau {tau}", world.choice);
+            }
+        }
+    }
+
+    #[test]
+    fn rebinding_queries_matches_a_fresh_build() {
+        let mut t = SymbolTable::new();
+        let mut b = GraphBuilder::new(&mut t);
+        b.vertex("x", "?y");
+        b.uncertain_vertex("m", &[("NBA_Player", 0.6), ("Actor", 0.4)]);
+        b.uncertain_vertex("n", &[("Country", 0.5), ("City", 0.5)]);
+        b.edge("x", "m", "type");
+        b.edge("x", "n", "birthPlace");
+        let g = b.into_uncertain();
+        let mut queries = Vec::new();
+        // Labels g has, labels it lacks (vertex and edge), a wildcard
+        // edge, the empty query, and a query larger than g.
+        let mut b = GraphBuilder::new(&mut t);
+        b.vertex("x", "?x");
+        b.vertex("a", "Actor");
+        b.edge("x", "a", "type");
+        queries.push(b.into_graph());
+        let mut b = GraphBuilder::new(&mut t);
+        b.vertex("x", "Film");
+        b.vertex("a", "Director");
+        b.edge("x", "a", "directedBy");
+        b.edge("a", "x", "?p");
+        queries.push(b.into_graph());
+        queries.push(Graph::new());
+        let mut b = GraphBuilder::new(&mut t);
+        for (v, l) in [("x", "?x"), ("a", "Actor"), ("c", "City"), ("d", "Band")] {
+            b.vertex(v, l);
+        }
+        b.edge("x", "a", "type");
+        b.edge("x", "c", "birthPlace");
+        b.edge("c", "d", "memberOf");
+        queries.push(b.into_graph());
+
+        let mut reused = PairProfile::new();
+        reused.prepare_uncertain(&t, &g);
+        let mut engine = GedEngine::new();
+        for q in queries.iter().chain(queries.iter().rev()) {
+            reused.set_query(&t, q);
+            let mut fresh = PairProfile::new();
+            fresh.prepare_uncertain(&t, &g);
+            fresh.set_query(&t, q);
+            for world in g.possible_worlds() {
+                for profile in [&mut reused, &mut fresh] {
+                    for (v, &c) in world.choice.iter().enumerate() {
+                        let sym = g.vertices()[v].alternatives[c as usize].label;
+                        let lid = profile.lid(sym).expect("alternative interned at build");
+                        profile.set_g_vertex_lid(v, lid);
+                    }
+                    profile.commit_world();
+                }
+                for tau in 0..5 {
+                    let got = engine.run_profile(&reused, tau);
+                    assert_eq!(got, engine.run_profile(&fresh, tau), "tau {tau}");
+                    assert_eq!(got, ged_bounded_reference(&t, q, &world.graph, tau), "tau {tau}");
+                }
             }
         }
     }

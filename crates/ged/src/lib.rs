@@ -18,8 +18,9 @@
 //!   wildcard rule, and the vertex-label bipartite graph of Def. 10.
 //! * [`engine`] — the reusable search workspace behind [`ged`] /
 //!   [`ged_bounded`]: slab-allocated states, a counted-multiset
-//!   incremental heuristic, and per-pair profiles that possible-world
-//!   verification patches in place instead of rebuilding.
+//!   incremental heuristic, and pair profiles whose g side is built once
+//!   per uncertain graph, whose q side is rebound per query, and which
+//!   possible-world verification patches in place instead of rebuilding.
 //! * [`mod@reference`] — the original sort-and-merge A\* retained as a test
 //!   oracle; the engine must reproduce it bit-for-bit.
 

@@ -30,6 +30,8 @@ pub mod seed;
 pub mod tier;
 
 pub use estimator::ConfidenceSequence;
-pub use sampler::{sample_simp_with, SampleOutcome, SampleParams, StopReason, MAX_DRAW_CAP};
+pub use sampler::{
+    sample_simp_prepared, sample_simp_with, SampleOutcome, SampleParams, StopReason, MAX_DRAW_CAP,
+};
 pub use seed::{derive_seed, pair_seed, rng_for};
 pub use tier::{choose_tier, verify_pair_with, SimpMode, SimpPolicy, Tier, TierOutcome};

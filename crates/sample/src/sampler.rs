@@ -39,11 +39,10 @@ use crate::seed::rng_for;
 use rand::Rng;
 use std::collections::HashMap;
 use uqsj_ged::astar::GedResult;
-use uqsj_ged::bounds::css::lb_ged_css_certain;
 use uqsj_ged::engine::GedEngine;
 use uqsj_graph::{Graph, Symbol, SymbolTable, UncertainGraph};
 use uqsj_uncertain::groups::PossibleWorldGroup;
-use uqsj_uncertain::verifier::WorldVerifier;
+use uqsj_uncertain::verifier::{VerifyStage, WorldVerifier};
 
 /// Hard ceiling on draws per decision, protecting against pathological
 /// `(ε, δ)` choices; a decision forced by it reports
@@ -169,8 +168,27 @@ pub fn sample_simp_with(
     params: &SampleParams,
     seed: u64,
 ) -> SampleOutcome {
+    let mut verifier = WorldVerifier::prepare(table, g);
+    sample_simp_prepared(engine, &mut verifier, table, q, tau, alpha, groups, params, seed)
+}
+
+/// [`sample_simp_with`] on verifier state already prepared for `g`, which
+/// the caller may reuse across queries: `q` is bound to it here.
+#[allow(clippy::too_many_arguments)] // sample_simp_with with the verifier for g
+pub fn sample_simp_prepared(
+    engine: &mut GedEngine,
+    verifier: &mut WorldVerifier<'_>,
+    table: &SymbolTable,
+    q: &Graph,
+    tau: u32,
+    alpha: f64,
+    groups: Option<&[PossibleWorldGroup]>,
+    params: &SampleParams,
+    seed: u64,
+) -> SampleOutcome {
     assert!(alpha.is_finite(), "sampling needs a finite alpha; use the exact tier for SimP itself");
     let obs = sample_obs();
+    let g = verifier.graph();
 
     // Def. 3: a vertex-less graph has zero possible worlds, so SimP = 0.
     if g.vertex_count() == 0 {
@@ -178,6 +196,7 @@ pub fn sample_simp_with(
         obs.decide_reject.inc();
         return exact_only_outcome(0.0, 0.0, alpha, None, 0.0, 0, seed);
     }
+    verifier.set_query(table, q);
 
     let full;
     let strata_source: &[PossibleWorldGroup] = match groups {
@@ -193,17 +212,18 @@ pub fn sample_simp_with(
     let mut best_mapping = None;
     let mut best_world_prob = 0.0f64;
     let mut worlds_verified = 0usize;
-    let mut verifier = WorldVerifier::new(table, q, g);
     let mut strata: Vec<Stratum> = Vec::new();
     for grp in strata_source {
-        if grp.lb_ged(table, q, g) > tau {
+        let lb = grp.lb_ged(table, q, g);
+        verifier.lap(VerifyStage::Css);
+        if lb > tau {
             continue; // contributes exactly 0
         }
         if grp.world_count() <= params.exact_stratum_worlds {
             for (labels, prob) in grp.worlds() {
                 obs.exact_fold_worlds.inc();
                 verifier.set_labels(&labels);
-                if lb_ged_css_certain(table, q, verifier.world_graph()) <= tau {
+                if verifier.css_admits(table, q, tau) {
                     worlds_verified += 1;
                     if let Some(result) = verifier.within_tau(engine, tau) {
                         exact_base += prob;
@@ -297,7 +317,7 @@ pub fn sample_simp_with(
             }
             None => {
                 verifier.set_labels(&labels);
-                let pass = if lb_ged_css_certain(table, q, verifier.world_graph()) <= tau {
+                let pass = if verifier.css_admits(table, q, tau) {
                     worlds_verified += 1;
                     match verifier.within_tau(engine, tau) {
                         Some(result) => {

@@ -8,12 +8,12 @@
 //! the `u128` product (graphs with hundreds of uncertain vertices), which
 //! are by definition enumeration-infeasible and always sample.
 
-use crate::sampler::{sample_simp_with, SampleParams, StopReason};
+use crate::sampler::{sample_simp_prepared, SampleParams, StopReason};
 use uqsj_ged::astar::GedResult;
 use uqsj_ged::engine::GedEngine;
-use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
+use uqsj_graph::{Graph, SymbolTable};
 use uqsj_uncertain::groups::PossibleWorldGroup;
-use uqsj_uncertain::{verify_simp_groups_with, verify_simp_with};
+use uqsj_uncertain::{verify_simp_prepared, WorldVerifier};
 
 /// How `SimP ≥ α` decisions are made.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,19 +137,21 @@ pub struct TierOutcome {
     pub seed: u64,
 }
 
-/// Verify one candidate pair through the tier the policy selects, on a
-/// caller-owned engine. `groups` is an optional possible-world partition
-/// (reused by both tiers when present); `pair_seed` should come from
-/// [`crate::seed::pair_seed`] so results are independent of driver order.
+/// Verify one candidate pair `(q, g)` through the tier the policy selects,
+/// on a caller-owned engine and on verifier state prepared for `g`, which
+/// the caller reuses across every query it verifies against `g`. `groups`
+/// is an optional possible-world partition (reused by both tiers when
+/// present); `pair_seed` should come from [`crate::seed::pair_seed`] so
+/// results are independent of driver order.
 ///
 /// A non-finite `alpha` (exact-probability request) always takes the
 /// exact tier — the sampler has no meaningful answer for it.
 #[allow(clippy::too_many_arguments)] // the join loop's full verification context
 pub fn verify_pair_with(
     engine: &mut GedEngine,
+    verifier: &mut WorldVerifier<'_>,
     table: &SymbolTable,
     q: &Graph,
-    g: &UncertainGraph,
     tau: u32,
     alpha: f64,
     groups: Option<&[PossibleWorldGroup]>,
@@ -157,14 +159,12 @@ pub fn verify_pair_with(
     pair_seed: u64,
 ) -> TierOutcome {
     let obs = crate::obs::sample_obs();
-    let tier = if alpha.is_finite() { choose_tier(policy, g.world_count()) } else { Tier::Exact };
+    let world_count = verifier.graph().world_count();
+    let tier = if alpha.is_finite() { choose_tier(policy, world_count) } else { Tier::Exact };
     match tier {
         Tier::Exact => {
             obs.dispatch_exact.inc();
-            let out = match groups {
-                Some(parts) => verify_simp_groups_with(engine, table, q, g, tau, alpha, parts),
-                None => verify_simp_with(engine, table, q, g, tau, alpha),
-            };
+            let out = verify_simp_prepared(engine, verifier, table, q, tau, alpha, groups);
             TierOutcome {
                 prob: out.prob,
                 passed: out.passed,
@@ -180,11 +180,11 @@ pub fn verify_pair_with(
         }
         Tier::Sample => {
             obs.dispatch_sample.inc();
-            let out = sample_simp_with(
+            let out = sample_simp_prepared(
                 engine,
+                verifier,
                 table,
                 q,
-                g,
                 tau,
                 alpha,
                 groups,
@@ -215,7 +215,7 @@ pub fn verify_pair_with(
 mod tests {
     use super::*;
     use crate::seed::pair_seed;
-    use uqsj_graph::GraphBuilder;
+    use uqsj_graph::{GraphBuilder, UncertainGraph};
 
     fn pair(t: &mut SymbolTable) -> (Graph, UncertainGraph) {
         let mut bq = GraphBuilder::new(t);
@@ -250,9 +250,9 @@ mod tests {
         for alpha in [0.2f64, 0.5, 0.9] {
             let exact = verify_pair_with(
                 &mut engine,
+                &mut WorldVerifier::prepare(&t, &g),
                 &t,
                 &q,
-                &g,
                 0,
                 alpha,
                 None,
@@ -261,9 +261,9 @@ mod tests {
             );
             let sampled = verify_pair_with(
                 &mut engine,
+                &mut WorldVerifier::prepare(&t, &g),
                 &t,
                 &q,
-                &g,
                 0,
                 alpha,
                 None,
@@ -283,9 +283,9 @@ mod tests {
         let mut engine = GedEngine::new();
         let out = verify_pair_with(
             &mut engine,
+            &mut WorldVerifier::prepare(&t, &g),
             &t,
             &q,
-            &g,
             0,
             f64::INFINITY,
             None,

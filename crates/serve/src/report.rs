@@ -65,6 +65,16 @@ pub struct JoinReport {
     pub pruning_us: u64,
     /// Microseconds spent verifying.
     pub verification_us: u64,
+    /// `verification_us` by stage: building verifier state, world
+    /// enumeration, the per-world CSS filter and A* — see
+    /// `JoinStats::verify_split`.
+    pub verify_profile_us: u64,
+    /// See [`JoinReport::verify_profile_us`].
+    pub verify_enumerate_us: u64,
+    /// See [`JoinReport::verify_profile_us`].
+    pub verify_css_us: u64,
+    /// See [`JoinReport::verify_profile_us`].
+    pub verify_search_us: u64,
 }
 
 impl JoinReport {
@@ -98,6 +108,10 @@ impl JoinReport {
             ged_expanded: stats.ged_expanded,
             pruning_us: stats.pruning_time.as_micros() as u64,
             verification_us: stats.verification_time.as_micros() as u64,
+            verify_profile_us: stats.verify_split.profile.as_micros() as u64,
+            verify_enumerate_us: stats.verify_split.enumerate.as_micros() as u64,
+            verify_css_us: stats.verify_split.css.as_micros() as u64,
+            verify_search_us: stats.verify_split.search.as_micros() as u64,
         }
     }
 }
@@ -201,6 +215,10 @@ impl QueryReport {
                 s.push_str(&format!(",\"ged_expanded\":{}", j.ged_expanded));
                 s.push_str(&format!(",\"pruning_us\":{}", j.pruning_us));
                 s.push_str(&format!(",\"verification_us\":{}", j.verification_us));
+                s.push_str(&format!(
+                    ",\"verify_split_us\":{{\"profile\":{},\"enumerate\":{},\"css\":{},\"search\":{}}}",
+                    j.verify_profile_us, j.verify_enumerate_us, j.verify_css_us, j.verify_search_us
+                ));
                 s.push('}');
             }
             None => s.push_str(",\"join\":null"),
@@ -247,6 +265,14 @@ impl QueryReport {
                 j.worlds_verified,
                 j.worlds_sampled,
                 j.ged_expanded
+            ));
+            out.push_str(&format!(
+                "    verify {}us = profile {}us + enumerate {}us + css {}us + search {}us\n",
+                j.verification_us,
+                j.verify_profile_us,
+                j.verify_enumerate_us,
+                j.verify_css_us,
+                j.verify_search_us
             ));
             for (label, n) in &j.stop_reasons {
                 out.push_str(&format!("    stop {label}={n}\n"));
@@ -372,6 +398,9 @@ mod tests {
             plan: vec!["size", "css"],
             verifications: 1,
             stop_reasons: vec![("exact_only", 2)],
+            verification_us: 9,
+            verify_css_us: 2,
+            verify_search_us: 7,
             ..Default::default()
         });
         let json = r.to_json();
@@ -380,6 +409,17 @@ mod tests {
         assert!(json.contains("\"plan\":[\"size\",\"css\"]"), "{json}");
         assert!(json.contains("\"stop_reasons\":{\"exact_only\":2}"), "{json}");
         assert!(json.contains("\"verifications\":1,\"verified_exact\""), "{json}");
+        assert!(
+            json.contains(
+                "\"verification_us\":9,\"verify_split_us\":{\"profile\":0,\"enumerate\":0,\"css\":2,\"search\":7}}"
+            ),
+            "{json}"
+        );
+        let text = r.render_text();
+        assert!(
+            text.contains("verify 9us = profile 0us + enumerate 0us + css 2us + search 7us"),
+            "{text}"
+        );
         assert!(json.contains("\"stages\":[{\"stage\":\"signature\",\"input\":10"), "{json}");
     }
 
@@ -394,6 +434,8 @@ mod tests {
         stats.record_pruned("css", 5);
         stats.record_stop("exact_only");
         stats.ged_expanded = 33;
+        stats.verify_split.search = std::time::Duration::from_micros(40);
+        stats.verify_split.profile = std::time::Duration::from_micros(7);
         let j = JoinReport::from_stats(&stats, JoinStrategy::SimJ);
         assert_eq!(j.plan, ["size", "label_multiset", "css", "markov"]);
         assert_eq!(j.stages[0], StageReport { label: "size", input: 20, pruned: 10, us: 0 });
@@ -404,5 +446,7 @@ mod tests {
         assert_eq!(j.ged_expanded, 33);
         assert_eq!(j.verifications, 3);
         assert_eq!(j.stop_reasons, vec![("exact_only", 1)]);
+        assert_eq!((j.verify_profile_us, j.verify_search_us), (7, 40));
+        assert_eq!((j.verify_enumerate_us, j.verify_css_us), (0, 0));
     }
 }

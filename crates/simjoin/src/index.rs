@@ -233,7 +233,8 @@ impl<'a> JoinIndex<'a> {
     }
 
     /// Filter and verify `D × {g}`, appending `g`'s matches to `out`
-    /// sorted by `q_index`.
+    /// sorted by `q_index`. g's verifier state is built on the first class
+    /// that survives the cascade and reused by every later one.
     #[allow(clippy::too_many_arguments)] // one question's full context
     fn probe(
         &self,
@@ -247,9 +248,21 @@ impl<'a> JoinIndex<'a> {
         stats: &mut JoinStats,
     ) {
         let first = out.len();
+        let mut prepared = None;
         self.filter(table, g, params, matcher, stats, |members, candidate, filtered_at, stats| {
             let q = (members, &self.d[members[0] as usize]);
-            verify(engine, table, q, (gi, g), candidate, filtered_at, params, out, stats);
+            verify(
+                engine,
+                &mut prepared,
+                table,
+                q,
+                (gi, g),
+                candidate,
+                filtered_at,
+                params,
+                out,
+                stats,
+            );
         });
         out[first..].sort_by_key(|m| m.q_index);
     }

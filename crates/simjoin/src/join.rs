@@ -11,6 +11,7 @@ use uqsj_ged::astar::GedResult;
 use uqsj_ged::GedEngine;
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 use uqsj_sample::{pair_seed, verify_pair_with, SimpPolicy, Tier};
+use uqsj_uncertain::WorldVerifier;
 
 /// Which pruning pipeline to run (the three lines of Figs. 11–14).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,12 +94,17 @@ pub fn sim_join(
 /// `members[0]`, and a passing verdict is pushed to `out` once per member,
 /// under the member's own `q_index`. `filtered_at` is the clock read that
 /// closed the pair's last filter stage; verification time runs from it.
+///
+/// `prepared` holds g's verifier state for the question being probed: it
+/// is built by the first class that reaches verification and reused by
+/// every later one, so g's side is built once per question.
 #[allow(clippy::too_many_arguments)] // one pair's full context
-pub(crate) fn verify(
+pub(crate) fn verify<'g>(
     engine: &mut GedEngine,
+    prepared: &mut Option<WorldVerifier<'g>>,
     table: &SymbolTable,
     (members, q): (&[u32], &Graph),
-    (gi, g): (usize, &UncertainGraph),
+    (gi, g): (usize, &'g UncertainGraph),
     candidate: Candidate,
     filtered_at: Instant,
     params: &JoinParams,
@@ -111,22 +117,26 @@ pub(crate) fn verify(
     // `params.simp.seed` alone.
     let qi = members[0] as usize;
     let expanded_before = engine.cumulative_stats().expanded;
+    let verifier = prepared.get_or_insert_with(|| WorldVerifier::prepare(table, g));
+    verifier.start_split(filtered_at);
     let outcome = verify_pair_with(
         engine,
+        verifier,
         table,
         q,
-        g,
         params.tau,
         params.alpha,
         candidate.groups.as_deref(),
         &params.simp,
         pair_seed(params.simp.seed, qi, gi),
     );
-    let verify_elapsed = filtered_at.elapsed();
+    let split = verifier.finish_split();
+    let verify_elapsed = split.total();
     let obs = join_obs();
     obs.t_verify.observe_duration(verify_elapsed);
     stats.verifications += 1;
     stats.verification_time += verify_elapsed;
+    stats.verify_split.add(&split);
     stats.worlds_verified += outcome.worlds_verified as u64;
     stats.worlds_sampled += outcome.worlds_sampled;
     stats.ged_expanded += engine.cumulative_stats().expanded - expanded_before;

@@ -2,6 +2,7 @@
 
 use crate::cascade::Stage;
 use std::time::Duration;
+use uqsj_uncertain::VerifySplit;
 
 /// Counters and timers accumulated over one join run.
 ///
@@ -71,6 +72,11 @@ pub struct JoinStats {
     pub pruning_time: Duration,
     /// CPU time spent in the refinement (verification) phase.
     pub verification_time: Duration,
+    /// `verification_time` by stage: building verifier state (`profile`),
+    /// world enumeration (`enumerate`), the per-world CSS filter (`css`)
+    /// and A\* (`search`). The join reads the clock once per stage
+    /// boundary, so the stages sum to `verification_time`.
+    pub verify_split: VerifySplit,
     /// True elapsed time of the driving call, set only by drivers whose
     /// workers overlap (zero means "not measured": sequential runs, where
     /// [`JoinStats::cpu_time`] already *is* the wall clock).
@@ -210,6 +216,7 @@ impl JoinStats {
         }
         self.pruning_time += other.pruning_time;
         self.verification_time += other.verification_time;
+        self.verify_split.add(&other.verify_split);
         self.wall_time = self.wall_time.max(other.wall_time);
     }
 }

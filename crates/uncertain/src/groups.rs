@@ -18,9 +18,7 @@
 //! `argmin Σ ub_SimP(q, PWG_i)` selects between them.
 
 use crate::prob_bound::{self};
-use uqsj_ged::bounds::css::{
-    css_terms_uncertain, lb_ged_css_certain, lb_ged_css_restricted, CssTerms,
-};
+use uqsj_ged::bounds::css::{css_terms_uncertain, lb_ged_css_restricted, CssTerms};
 use uqsj_graph::{Graph, Symbol, SymbolTable, UncertainGraph};
 
 /// One possible-world group: per-vertex allowed alternatives with their
@@ -314,7 +312,9 @@ pub fn verify_simp_groups(
     })
 }
 
-/// [`verify_simp_groups`] on a caller-owned [`uqsj_ged::GedEngine`].
+/// [`verify_simp_groups`] on a caller-owned [`uqsj_ged::GedEngine`]: the
+/// exact driver [`crate::prob::verify_simp_prepared`] over `groups`, on
+/// fresh verifier state for `g`.
 #[allow(clippy::too_many_arguments)] // mirrors verify_simp_groups + engine
 pub fn verify_simp_groups_with(
     engine: &mut uqsj_ged::GedEngine,
@@ -325,56 +325,8 @@ pub fn verify_simp_groups_with(
     alpha: f64,
     groups: &[PossibleWorldGroup],
 ) -> crate::prob::VerifyOutcome {
-    let mut acc = 0.0f64;
-    let mut best_mapping = None;
-    let mut best_world_prob = 0.0f64;
-    let mut worlds_verified = 0usize;
-    let mut remaining: f64 =
-        groups.iter().filter(|grp| grp.lb_ged(table, q, g) <= tau).map(|grp| grp.mass()).sum();
-    let early = alpha.is_finite();
-
-    // Shared per-pair search structure; each world only patches labels.
-    let mut verifier = crate::verifier::WorldVerifier::new(table, q, g);
-
-    'outer: for grp in groups {
-        if grp.lb_ged(table, q, g) > tau {
-            continue;
-        }
-        for (labels, prob) in grp.worlds() {
-            remaining -= prob;
-            verifier.set_labels(&labels);
-            let obs = crate::obs::world_obs();
-            obs.enumerated.inc();
-            if lb_ged_css_certain(table, q, verifier.world_graph()) <= tau {
-                worlds_verified += 1;
-                obs.verified.inc();
-                if let Some(result) = verifier.within_tau(engine, tau) {
-                    acc += prob;
-                    if prob > best_world_prob {
-                        best_world_prob = prob;
-                        best_mapping = Some(result);
-                    }
-                }
-            } else {
-                obs.css_pruned.inc();
-            }
-            if early && (acc >= alpha || acc + remaining < alpha) {
-                if acc >= alpha {
-                    obs.early_exit_pass.inc();
-                } else {
-                    obs.early_exit_fail.inc();
-                }
-                break 'outer;
-            }
-        }
-    }
-    crate::prob::VerifyOutcome {
-        prob: acc,
-        passed: acc >= alpha,
-        best_mapping,
-        best_world_prob,
-        worlds_verified,
-    }
+    let mut verifier = crate::verifier::WorldVerifier::prepare(table, g);
+    crate::prob::verify_simp_prepared(engine, &mut verifier, table, q, tau, alpha, Some(groups))
 }
 
 /// Convenience wrapper mirroring [`prob_bound::ub_simp`] at `gn = 1`

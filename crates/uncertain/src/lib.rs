@@ -9,9 +9,10 @@
 //!   (Lemmas 5/6 and Theorem 4): the probabilistic pruning filter.
 //! * [`groups`] — possible-world groups, the two split heuristics of
 //!   Sec. 6.2 and the cost model that picks between them (Algorithm 2).
-//! * [`verifier`] — the per-pair [`WorldVerifier`]: q-side structure and
-//!   g-side topology are built once per candidate, and each possible
-//!   world is verified by patching only the uncertain-vertex labels.
+//! * [`verifier`] — the [`WorldVerifier`]: g-side topology is built once
+//!   per uncertain graph, each query binds its own structure on top of it,
+//!   and each possible world is verified by patching only the
+//!   uncertain-vertex labels and running τ-bounded A\*.
 
 pub mod groups;
 mod obs;
@@ -23,7 +24,9 @@ pub use groups::{
     partition_groups, ub_simp_grouped, verify_simp_groups, verify_simp_groups_with,
     PossibleWorldGroup, SplitHeuristic,
 };
-pub use prob::{similarity_probability, verify_simp, verify_simp_with, VerifyOutcome};
+pub use prob::{
+    similarity_probability, verify_simp, verify_simp_prepared, verify_simp_with, VerifyOutcome,
+};
 pub use prob_bound::{ub_simp, ub_simp_exact_tail};
 pub use uqsj_ged::GedEngine;
-pub use verifier::WorldVerifier;
+pub use verifier::{VerifySplit, VerifyStage, WorldVerifier};

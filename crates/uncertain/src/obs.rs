@@ -11,11 +11,8 @@ pub(crate) struct WorldObs {
     pub enumerated: uqsj_obs::Counter,
     /// Worlds discarded by the per-world certain CSS filter.
     pub css_pruned: uqsj_obs::Counter,
-    /// Worlds that reached the τ-bounded decision (bipartite or A*).
+    /// Worlds that reached the τ-bounded A* search.
     pub verified: uqsj_obs::Counter,
-    /// Worlds decided by the bipartite upper bound alone (distance 0),
-    /// short-circuiting A* entirely.
-    pub bipartite_exact: uqsj_obs::Counter,
     /// Early terminations because the accumulated mass reached α.
     pub early_exit_pass: uqsj_obs::Counter,
     /// Early terminations because the remaining mass cannot reach α.
@@ -34,11 +31,7 @@ pub(crate) fn world_obs() -> &'static WorldObs {
             css_pruned: r
                 .counter("uqsj_worlds_css_pruned_total", "worlds discarded by the CSS filter"),
             verified: r
-                .counter("uqsj_worlds_verified_total", "worlds reaching the tau-bounded decision"),
-            bipartite_exact: r.counter(
-                "uqsj_worlds_bipartite_exact_total",
-                "worlds decided by the bipartite upper bound without A*",
-            ),
+                .counter("uqsj_worlds_verified_total", "worlds reaching the tau-bounded A* search"),
             early_exit_pass: r.counter_with(
                 "uqsj_verify_early_exit_total",
                 &[("result", "pass")],

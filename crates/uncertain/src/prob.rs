@@ -9,18 +9,22 @@
 //! verifier (a) filters each world with the certain CSS bound before
 //! running A\*, (b) uses the τ-bounded A\* rather than the exact distance,
 //! and (c) terminates early once the accumulated probability reaches `α`
-//! or the remaining mass cannot reach it.
+//! or the remaining mass cannot reach it. A world counts as within τ only
+//! when the A\* search at limit τ finds a mapping.
 //!
-//! Verification is world-incremental: a per-pair [`WorldVerifier`] builds
-//! the search structure once and patches only the uncertain-vertex labels
-//! per world, and the τ-bounded A\* runs on a caller-supplied
-//! [`GedEngine`] ([`verify_simp_with`]) so one workspace serves a whole
-//! candidate stream. Certain graphs (a single possible world) bypass
-//! enumeration entirely.
+//! Verification is world-incremental: a [`WorldVerifier`] builds g's side
+//! of the search structure once, binds each query on top of it, and
+//! patches only the uncertain-vertex labels per world. [`verify_simp_prepared`]
+//! is the one exact driver, over all worlds or over the surviving
+//! possible-world groups; it takes the verifier, so a join reuses g's
+//! state across every query it verifies against `g`. The τ-bounded A\*
+//! runs on a caller-supplied [`GedEngine`] ([`verify_simp_with`]) so one
+//! workspace serves a whole candidate stream. Certain graphs (a single
+//! possible world) bypass enumeration entirely.
 
-use crate::verifier::WorldVerifier;
+use crate::groups::PossibleWorldGroup;
+use crate::verifier::{VerifyStage, WorldVerifier};
 use uqsj_ged::astar::GedResult;
-use uqsj_ged::bounds::css::lb_ged_css_certain;
 use uqsj_ged::engine::{with_thread_engine, GedEngine};
 use uqsj_graph::{Graph, SymbolTable, UncertainGraph};
 
@@ -92,25 +96,25 @@ struct SimpState {
 }
 
 impl SimpState {
-    /// Verify one world: shed its mass from `remaining`, CSS-filter it,
-    /// and on success fold its probability and best mapping in.
-    #[allow(clippy::too_many_arguments)] // engine + verifier + the pair + one world
+    fn new(remaining: f64) -> Self {
+        Self { acc: 0.0, remaining, best_mapping: None, best_world_prob: 0.0, worlds_verified: 0 }
+    }
+
+    /// Verify the verifier's current world, of probability `prob`: shed
+    /// its mass from `remaining`, CSS-filter it, and on success fold its
+    /// probability and best mapping in.
     fn step(
         &mut self,
         engine: &mut GedEngine,
         verifier: &mut WorldVerifier<'_>,
-        table: &SymbolTable,
-        q: &Graph,
+        (table, q): (&SymbolTable, &Graph),
         tau: u32,
-        choice: &[u32],
         prob: f64,
     ) {
         self.remaining -= prob;
-        verifier.set_choice(choice);
         let obs = crate::obs::world_obs();
         obs.enumerated.inc();
-        // Per-world structural filter (Algorithm 1, line 9).
-        if lb_ged_css_certain(table, q, verifier.world_graph()) <= tau {
+        if verifier.css_admits(table, q, tau) {
             self.worlds_verified += 1;
             obs.verified.inc();
             if let Some(result) = verifier.within_tau(engine, tau) {
@@ -122,6 +126,20 @@ impl SimpState {
             }
         } else {
             obs.css_pruned.inc();
+        }
+    }
+
+    /// Whether an early exit fires against `alpha` (counted when it does).
+    fn settled(&self, alpha: f64) -> bool {
+        let obs = crate::obs::world_obs();
+        if self.acc >= alpha {
+            obs.early_exit_pass.inc();
+            true
+        } else if self.acc + self.remaining < alpha {
+            obs.early_exit_fail.inc();
+            true
+        } else {
+            false
         }
     }
 
@@ -146,64 +164,82 @@ pub fn verify_simp_with(
     tau: u32,
     alpha: f64,
 ) -> VerifyOutcome {
+    verify_simp_prepared(engine, &mut WorldVerifier::prepare(table, g), table, q, tau, alpha, None)
+}
+
+/// The exact verification driver: bind `q` to the verifier's prepared
+/// graph `g` and decide `SimP_τ(q, g) >= alpha` by enumeration, with both
+/// early exits when `alpha` is finite.
+///
+/// With `groups` (a possible-world partition, Algorithm 2), the worlds of
+/// groups whose CSS bound exceeds τ are skipped without being
+/// enumerated, and the rest are visited group by group. Without it, every
+/// world of `g` is visited — most probable first when early exits are on
+/// and `g` has at most 4,096 worlds, in enumeration order otherwise.
+pub fn verify_simp_prepared(
+    engine: &mut GedEngine,
+    verifier: &mut WorldVerifier<'_>,
+    table: &SymbolTable,
+    q: &Graph,
+    tau: u32,
+    alpha: f64,
+    groups: Option<&[PossibleWorldGroup]>,
+) -> VerifyOutcome {
+    verifier.set_query(table, q);
+    let g = verifier.graph();
+    let early = alpha.is_finite();
+    let pair = (table, q);
+
+    if let Some(groups) = groups {
+        let live: Vec<&PossibleWorldGroup> =
+            groups.iter().filter(|grp| grp.lb_ged(table, q, g) <= tau).collect();
+        verifier.lap(VerifyStage::Css);
+        let mut st = SimpState::new(live.iter().map(|grp| grp.mass()).sum());
+        for grp in live {
+            for (labels, prob) in grp.worlds() {
+                verifier.set_labels(&labels);
+                st.step(engine, verifier, pair, tau, prob);
+                if early && st.settled(alpha) {
+                    return st.into_outcome(alpha);
+                }
+            }
+        }
+        return st.into_outcome(alpha);
+    }
+
     // Total mass of all worlds (<= 1 when some labels carry slack).
     let total_mass: f64 = g.vertices().iter().map(|v| v.mass()).product();
-    let mut st = SimpState {
-        acc: 0.0,
-        remaining: total_mass,
-        best_mapping: None,
-        best_world_prob: 0.0,
-        worlds_verified: 0,
-    };
-    let early = alpha.is_finite();
+    let mut st = SimpState::new(total_mass);
 
     // Fast path: a certain graph has exactly one world — verify it
     // directly, no enumeration, no sorting. (A zero-vertex graph has zero
     // worlds under Def. 3 and must fall through to the empty loop below.)
     if g.vertex_count() > 0 && g.world_count() == 1 {
-        let mut verifier = WorldVerifier::new(table, q, g);
-        let choice = vec![0u32; g.vertex_count()];
-        st.step(engine, &mut verifier, table, q, tau, &choice, total_mass);
+        verifier.set_choice(&vec![0u32; g.vertex_count()]);
+        st.step(engine, verifier, pair, tau, total_mass);
         return st.into_outcome(alpha);
     }
 
-    let mut verifier = WorldVerifier::new(table, q, g);
     // Verifying high-probability worlds first makes both early exits
     // trigger sooner (the pass exit accumulates mass fastest; the fail
     // exit sheds `remaining` fastest). Only worth collecting for moderate
-    // world counts, and pointless without early termination.
+    // world counts, and pointless without early termination. The sorted
+    // list is g's, so it is collected once per prepared verifier.
     if early && g.world_count() <= 4096 {
-        let mut all: Vec<(Vec<u32>, f64)> = Vec::new();
-        let mut cursor = g.world_choices();
-        while let Some((choice, prob)) = cursor.next_world() {
-            all.push((choice.to_vec(), prob));
-        }
-        all.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite probability"));
-        for (choice, prob) in &all {
-            st.step(engine, &mut verifier, table, q, tau, choice, *prob);
-            if st.acc >= alpha {
-                crate::obs::world_obs().early_exit_pass.inc();
-                return st.into_outcome(alpha);
-            }
-            if st.acc + st.remaining < alpha {
-                crate::obs::world_obs().early_exit_fail.inc();
-                return st.into_outcome(alpha);
+        for i in 0..verifier.sorted_world_count() {
+            let prob = verifier.set_sorted_world(i);
+            st.step(engine, verifier, pair, tau, prob);
+            if st.settled(alpha) {
+                break;
             }
         }
     } else {
         let mut cursor = g.world_choices();
         while let Some((choice, prob)) = cursor.next_world() {
-            // The cursor lends `choice`, but `step` only reads it.
-            st.step(engine, &mut verifier, table, q, tau, choice, prob);
-            if early {
-                if st.acc >= alpha {
-                    crate::obs::world_obs().early_exit_pass.inc();
-                    return st.into_outcome(alpha);
-                }
-                if st.acc + st.remaining < alpha {
-                    crate::obs::world_obs().early_exit_fail.inc();
-                    return st.into_outcome(alpha);
-                }
+            verifier.set_choice(choice);
+            st.step(engine, verifier, pair, tau, prob);
+            if early && st.settled(alpha) {
+                break;
             }
         }
     }

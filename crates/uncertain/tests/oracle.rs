@@ -8,7 +8,6 @@
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use uqsj_ged::bounds::css::lb_ged_css_certain;
 use uqsj_ged::reference::ged_bounded_reference;
-use uqsj_ged::upper::ged_upper_bipartite;
 use uqsj_graph::{Graph, GraphBuilder, SymbolTable, UncertainGraph};
 use uqsj_uncertain::{
     partition_groups, similarity_probability, verify_simp, verify_simp_groups, SplitHeuristic,
@@ -16,9 +15,9 @@ use uqsj_uncertain::{
 };
 
 /// Replicates `verify_simp`'s decision procedure — total-mass accounting,
-/// per-world CSS filter, bipartite upper bound, high-probability-first
-/// ordering, both early exits — but materializes each world and searches
-/// it with the naive reference A\* instead of patching a shared profile.
+/// per-world CSS filter, A\* at limit τ, high-probability-first ordering,
+/// both early exits — but materializes each world and searches it with
+/// the naive reference A\* instead of patching a shared profile.
 fn verify_simp_naive(
     table: &SymbolTable,
     q: &Graph,
@@ -45,13 +44,7 @@ fn verify_simp_naive(
         remaining -= w.prob;
         if lb_ged_css_certain(table, q, &w.graph) <= tau {
             worlds_verified += 1;
-            let ub = ged_upper_bipartite(table, q, &w.graph);
-            let result = if ub.distance == 0 {
-                Some(ub)
-            } else {
-                ged_bounded_reference(table, q, &w.graph, tau.min(ub.distance))
-            };
-            if let Some(r) = result {
+            if let Some(r) = ged_bounded_reference(table, q, &w.graph, tau) {
                 acc += w.prob;
                 if w.prob > best_world_prob {
                     best_world_prob = w.prob;
